@@ -6,8 +6,8 @@
 // Two scalar baselines are measured for every kernel:
 //
 //   engine per-point  - the generic sweep path the kernels replaced
-//                       (still present behind sweep_kernels=false, see
-//                       engine::eval_sweep): per grid point, clone the
+//                       (engine::eval_sweep keeps it for targets no
+//                       kernel covers): per grid point, clone the
 //                       target JSON doc, poke the swept member,
 //                       re-canonicalize through parse_request, evaluate,
 //                       dump the result, and re-parse it to extract the

@@ -17,8 +17,8 @@
 //                       mismatch is a real defect, not rounding).
 //
 // The crossover check is deterministic and runs even in tiny mode: one
-// partition_explore request is served at parallelism 1/4/0 with the
-// sweep kernels on and off, all six responses must be byte-identical,
+// partition_explore request is served at parallelism 1/4/0, all three
+// responses must be byte-identical,
 // monolithic must win the low end of the grid and a split the high end
 // (Chiplet Actuary's die-size crossover, arXiv:2203.12268).
 //
@@ -164,30 +164,25 @@ int main(int argc, char** argv) {
         kernel_rate / engine_rate, bit_exact ? "yes" : "NO");
 
     // Crossover stability: the same explore request must serialize
-    // byte-identically at every thread count with the kernels on and
-    // off, and the crossover must exist with monolithic winning the
-    // low end.  Deterministic, so it runs even in tiny mode.
+    // byte-identically at every thread count, and the crossover must
+    // exist with monolithic winning the low end.  Deterministic, so it
+    // runs even in tiny mode.
     const std::string explore_line =
         "{\"op\":\"partition_explore\",\"splits\":\"1,2,4\","
         "\"area_from_mm2\":40,\"area_to_mm2\":1000,\"count\":25}";
     std::string reference;
     bool responses_identical = true;
     for (const unsigned threads : {1u, 4u, 0u}) {
-        for (const bool kernels : {true, false}) {
-            serve::engine_config c;
-            c.parallelism = threads;
-            c.sweep_kernels = kernels;
-            serve::engine e{c};
-            const std::string response = e.handle_line(explore_line);
-            if (reference.empty()) {
-                reference = response;
-            } else if (response != reference) {
-                responses_identical = false;
-                std::printf(
-                    "FAIL: partition_explore differs at threads=%u "
-                    "kernels=%d\n",
-                    threads, kernels ? 1 : 0);
-            }
+        serve::engine_config c;
+        c.parallelism = threads;
+        serve::engine e{c};
+        const std::string response = e.handle_line(explore_line);
+        if (reference.empty()) {
+            reference = response;
+        } else if (response != reference) {
+            responses_identical = false;
+            std::printf("FAIL: partition_explore differs at threads=%u\n",
+                        threads);
         }
     }
     double crossover_area = 0.0;

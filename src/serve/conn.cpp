@@ -87,7 +87,7 @@ void conn::set_paused(bool paused) {
 }
 
 void conn::on_readable() {
-    char chunk[16384];
+    char chunk[read_chunk_bytes];
     while (wants_read()) {
         if (faults::enabled() && faults::take_eintr("silicond.read")) {
             // Injected EINTR: with level-triggered epoll the readable
@@ -127,9 +127,11 @@ void conn::on_readable() {
         // Answer everything complete in this chunk: a client that sends
         // one request and waits must not stall behind the batch bound.
         flush_pending_batch();
-        if (static_cast<std::size_t>(got) < sizeof chunk) {
-            break;  // socket drained (level-triggered re-arms otherwise)
-        }
+        // One chunk per readiness event: epoll is level-triggered, so a
+        // socket that still holds bytes fires again on the next wait —
+        // after every other ready connection had its turn.  A client
+        // that keeps its socket full cannot hold the reactor.
+        break;
     }
     on_writable();
 }

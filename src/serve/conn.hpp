@@ -96,14 +96,18 @@ struct conn_shared {
 
 class conn {
 public:
+    /// Bytes one readiness event consumes at most.
+    static constexpr std::size_t read_chunk_bytes = 16384;
+
     conn(int fd, conn_shared& shared);
     ~conn();
     conn(const conn&) = delete;
     conn& operator=(const conn&) = delete;
 
-    /// Drain the socket (until EAGAIN / short read / backpressure
-    /// pause), frame lines, answer complete batches.  EOF flushes the
-    /// final unterminated line and schedules flush-then-close.
+    /// Read one chunk (at most `read_chunk_bytes`; the level-triggered
+    /// loop calls again while bytes remain), frame lines, answer
+    /// complete batches.  EOF flushes the final unterminated line and
+    /// schedules flush-then-close.
     void on_readable();
 
     /// Flush the write queue as far as the socket allows.

@@ -42,18 +42,22 @@ namespace {
 // responses upstream.
 // ---------------------------------------------------------------------------
 
-geometry::gross_die_method method_from_string(const std::string& name) {
+/// The parser validated the name, so the throw is unreachable.  Matches
+/// literals (geometry::to_string builds strings) so the closed-form
+/// path stays allocation-free.
+geometry::gross_die_method method_from_name(std::string_view name) {
     using geometry::gross_die_method;
-    for (const gross_die_method m :
-         {gross_die_method::maly_rows, gross_die_method::maly_rows_best_orient,
-          gross_die_method::area_ratio, gross_die_method::circumference,
-          gross_die_method::ferris_prabhu, gross_die_method::exact}) {
-        if (geometry::to_string(m) == name) {
-            return m;
-        }
+    if (name == "maly_rows") return gross_die_method::maly_rows;
+    if (name == "maly_rows_best_orient") {
+        return gross_die_method::maly_rows_best_orient;
     }
+    if (name == "area_ratio") return gross_die_method::area_ratio;
+    if (name == "circumference") return gross_die_method::circumference;
+    if (name == "ferris_prabhu") return gross_die_method::ferris_prabhu;
+    if (name == "exact") return gross_die_method::exact;
     throw request_error("bad_param",
-                        "unknown gross-die method '" + name + "'");
+                        "unknown gross-die method '" + std::string{name} +
+                            "'");
 }
 
 core::process_spec build_process(const process_params& p) {
@@ -77,7 +81,7 @@ core::process_spec build_process(const process_params& p) {
         geometry::wafer{centimeters{p.wafer_radius_cm},
                         centimeters{p.edge_exclusion_cm}},
         std::move(yield),
-        method_from_string(p.gross_die_method),
+        method_from_name(p.gross_die_method),
     };
 }
 
@@ -117,7 +121,7 @@ json::value eval_gross_die(const gross_die_request& q) {
                             centimeters{q.edge_exclusion_cm}};
     const geometry::die d{millimeters{q.die_width_mm},
                           millimeters{q.die_height_mm}};
-    const long count = geometry::gross_dies(w, d, method_from_string(q.method),
+    const long count = geometry::gross_dies(w, d, method_from_name(q.method),
                                             millimeters{q.scribe_mm});
     json::object o;
     o.set("count", static_cast<double>(count));
@@ -446,48 +450,13 @@ std::string error_code_for(const std::exception& e) {
     return "internal_error";
 }
 
-/// Assemble a response line.  The envelope is built by concatenation so
-/// a cache-hit result splices in verbatim and the bytes are identical
-/// to a fresh evaluation's.  `trace` (the client's trace_id, nullptr =
-/// none) echoes right after the id, so envelopes without one are
-/// byte-identical to the pre-trace format.
-std::string envelope(const json::value* id, const std::string* trace,
-                     bool ok, std::string_view body_key,
-                     std::string_view body) {
-    std::string out = "{";
-    if (id != nullptr) {
-        out += "\"id\":";
-        out += json::dump(*id);
-        out += ",";
-    }
-    if (trace != nullptr) {
-        out += "\"trace_id\":";
-        json::write_string_into(out, *trace);
-        out += ",";
-    }
-    out += "\"ok\":";
-    out += ok ? "true" : "false";
-    out += ",\"";
-    out += body_key;
-    out += "\":";
-    out += body;
-    out += "}";
-    return out;
-}
-
-std::string error_body(std::string_view code, std::string_view message) {
-    json::object e;
-    e.set("code", std::string{code});
-    e.set("message", std::string{message});
-    return json::dump(json::value{std::move(e)});
-}
-
-/// `envelope` for the allocation-free path: identical bytes, appended
-/// to a reused buffer, with the `id` and `trace_id` spliced straight
-/// from the arena document views (write_string_into escapes exactly
-/// like json::dump, so both paths echo identical trace bytes).
-void envelope_into(const json::aview* id, const json::aview* trace, bool ok,
-                   std::string_view body_key, std::string_view body,
+/// Opens a response envelope in `out`: `{"id":..,"trace_id":..,"ok":..,`
+/// then `"result":` or `"error":`; the caller appends the body and the
+/// closing brace.  `id` and `trace` are spliced straight from the arena
+/// document (dump_into/write_string_into escape exactly like json::dump),
+/// and a line without them echoes neither.  A cache-hit result splices
+/// in verbatim, so its bytes are identical to a fresh evaluation's.
+void open_envelope(const json::aview* id, const json::aview* trace, bool ok,
                    std::string& out) {
     out += '{';
     if (id != nullptr) {
@@ -500,13 +469,7 @@ void envelope_into(const json::aview* id, const json::aview* trace, bool ok,
         json::write_string_into(out, trace->string);
         out += ',';
     }
-    out += "\"ok\":";
-    out += ok ? "true" : "false";
-    out += ",\"";
-    out += body_key;
-    out += "\":";
-    out += body;
-    out += '}';
+    out += ok ? "\"ok\":true,\"result\":" : "\"ok\":false,\"error\":";
 }
 
 /// Best-effort `id` rendering for a flight record: strings verbatim,
@@ -522,18 +485,7 @@ void flight_number_field(char (&dst)[32], double v) noexcept {
     }
 }
 
-void flight_id_field(char (&dst)[32], const json::value* id) {
-    if (id == nullptr) {
-        return;
-    }
-    if (id->is_string()) {
-        obs::assign_field(dst, id->as_string());
-    } else if (id->is_number()) {
-        flight_number_field(dst, id->as_number());
-    }
-}
-
-void flight_id_field_view(char (&dst)[32], const json::aview* id) {
+void flight_id_field(char (&dst)[32], const json::aview* id) {
     if (id == nullptr) {
         return;
     }
@@ -565,6 +517,54 @@ bool anomalous_code(std::string_view code) noexcept {
            code == "internal_error";
 }
 
+/// Canonical point keys of a sweep's lanes.  Lanes differ only in the
+/// swept number, so the key is emitted once around two probe values
+/// and each lane splices its number between the shared prefix and
+/// suffix — the bytes canonical_key_into writes for the lane's request.
+class lane_keys {
+public:
+    lane_keys(request target, std::string_view param) {
+        double* slot = numeric_param_ptr(target, param);
+        std::string one;
+        std::string two;
+        *slot = 1.0;
+        canonical_key_into(target, one);
+        *slot = 2.0;
+        canonical_key_into(target, two);
+        std::size_t head = 0;
+        while (one[head] == two[head]) {
+            ++head;
+        }
+        std::size_t tail = 0;
+        while (one[one.size() - 1 - tail] == two[two.size() - 1 - tail]) {
+            ++tail;
+        }
+        prefix_ = one.substr(0, head);
+        suffix_ = one.substr(one.size() - tail);
+    }
+
+    void key_into(double x, std::string& out) const {
+        out = prefix_;
+        json::format_number_into(x, out);
+        out += suffix_;
+    }
+
+private:
+    std::string prefix_;
+    std::string suffix_;
+};
+
+/// The `serve.eval` fault site: fires once per cache miss, before the
+/// evaluation.
+void eval_fault_site() {
+    if (faults::enabled()) {
+        faults::maybe_delay("serve.eval");
+        if (faults::should_fail("serve.eval")) {
+            throw std::bad_alloc{};
+        }
+    }
+}
+
 /// Deadline instant for a request that started at `start`.  The budget
 /// is clamped far below the time_point's representable range (~31
 /// years) so arithmetic never overflows; a clamped deadline never
@@ -579,16 +579,18 @@ std::chrono::steady_clock::time_point deadline_from(
            std::chrono::milliseconds{static_cast<std::int64_t>(budget_ms)};
 }
 
-/// Per-thread hot-path scratch: the parse arena, the arena-view parser
-/// and the reused request.  Engine instances share it safely — it holds
-/// no engine state, only per-line storage that is fully rewritten by
-/// each parse.
+/// Per-thread line scratch: the parse arena, the arena-view parser and
+/// the reused request.  Engine instances share it safely — it holds no
+/// engine state, only per-line storage that is fully rewritten by each
+/// parse.  Evaluation never re-enters a line on the same thread (exec
+/// runs only the caller's own shards), so the parsed request stays
+/// valid until its line is answered.
 struct line_state {
     exec::arena arena;
     json::arena_parser parser;
     fast_parse_state parsed;
-    /// Cold-miss result body, serialized in place (capacity reused).
-    std::string cold;
+    /// Cache-miss result body (capacity reused by closed-form misses).
+    std::string body;
 };
 
 line_state& tls_line_state() {
@@ -596,38 +598,15 @@ line_state& tls_line_state() {
     return state;
 }
 
-/// Allocation-free twin of method_from_string for the cold-miss fast
-/// path (the generic helper builds std::strings while matching).
-bool method_from_view(std::string_view name, geometry::gross_die_method& m) {
-    using geometry::gross_die_method;
-    if (name == "maly_rows") {
-        m = gross_die_method::maly_rows;
-    } else if (name == "maly_rows_best_orient") {
-        m = gross_die_method::maly_rows_best_orient;
-    } else if (name == "area_ratio") {
-        m = gross_die_method::area_ratio;
-    } else if (name == "circumference") {
-        m = gross_die_method::circumference;
-    } else if (name == "ferris_prabhu") {
-        m = gross_die_method::ferris_prabhu;
-    } else if (name == "exact") {
-        m = gross_die_method::exact;
-    } else {
-        return false;
-    }
-    return true;
-}
-
-/// Cold-miss fast path: evaluate a closed-form point op straight from
-/// the typed payload and serialize the result body into `out` —
+/// Closed-form point ops: evaluate the scalar library straight from the
+/// typed payload and serialize the result body into `out` —
 /// byte-identical to json::dump(eval_*(q)) (same field order, same
 /// format_number_into/write_string_into bytes) without building a
-/// json::value tree, so a warm-capacity serve performs zero heap
-/// allocations end to end.  Returns false for ops whose evaluation
-/// allocates or needs the engine (the slow path serves those); inputs
-/// the scalar library rejects throw out of here exactly like eval_*,
-/// and the caller declines to the slow path for authoritative error
-/// accounting.
+/// json::value tree, so a cache miss at warm capacity performs zero
+/// heap allocations end to end.  Returns false for ops whose evaluation
+/// allocates or needs the engine, and for inputs whose error message
+/// eval_* owns (the caller then runs evaluate); inputs the scalar
+/// library rejects throw out of here exactly like eval_*.
 bool cold_result_into(const request& req, std::string& out) {
     switch (req.op) {
         case op_code::scenario1: {
@@ -700,7 +679,7 @@ bool cold_result_into(const request& req, std::string& out) {
                                       ? q.expected_faults
                                       : q.die_area_cm2 * q.defects_per_cm2;
             if (!(faults >= 0.0) || !std::isfinite(faults)) {
-                return false;  // slow path owns the bad_param error
+                return false;  // eval_yield owns the bad_param error
             }
             probability y{0.0};
             if (q.model == "poisson") {
@@ -715,7 +694,7 @@ bool cold_result_into(const request& req, std::string& out) {
             } else if (q.model == "neg_binomial") {
                 y = yield::negative_binomial_model{q.alpha}.yield(faults);
             } else {
-                return false;  // unknown model: slow path owns the error
+                return false;  // unknown model: eval_yield owns the error
             }
             out += ",\"expected_faults\":";
             json::format_number_into(faults, out);
@@ -726,16 +705,12 @@ bool cold_result_into(const request& req, std::string& out) {
         }
         case op_code::gross_die: {
             const auto& q = std::get<gross_die_request>(req.payload);
-            geometry::gross_die_method m{};
-            if (!method_from_view(q.method, m)) {
-                return false;  // slow path owns the bad_param error
-            }
             const geometry::wafer w{centimeters{q.wafer_radius_cm},
                                     centimeters{q.edge_exclusion_cm}};
             const geometry::die d{millimeters{q.die_width_mm},
                                   millimeters{q.die_height_mm}};
-            const long count =
-                geometry::gross_dies(w, d, m, millimeters{q.scribe_mm});
+            const long count = geometry::gross_dies(
+                w, d, method_from_name(q.method), millimeters{q.scribe_mm});
             out += "{\"count\":";
             json::format_number_into(static_cast<double>(count), out);
             out += ",\"method\":";
@@ -834,44 +809,15 @@ json::value engine::evaluate_impl(const request& req,
 }
 
 std::shared_ptr<const std::string> engine::result_for(
-    const request& req, const exec::cancel_token* cancel,
-    line_probe* probe) {
-    {
-        const obs::trace_span span{"serve.cache", "serve"};
-        const auto t0 = std::chrono::steady_clock::now();
-        auto hit = cache_.get(req.canonical_key);
-        if (probe != nullptr) {
-            probe->cache_probed = true;
-            probe->cache_ns =
-                ns_between(t0, std::chrono::steady_clock::now());
-            probe->cache_hit = hit != nullptr;
-        }
-        if (hit) {
-            metrics_.at(req.op).cache_hits.fetch_add(
-                1, std::memory_order_relaxed);
-            return hit;
-        }
+    const request& req, const exec::cancel_token* cancel) {
+    if (auto hit = cache_.get(req.canonical_key)) {
+        metrics_.at(req.op).cache_hits.fetch_add(1,
+                                                 std::memory_order_relaxed);
+        return hit;
     }
-    if (faults::enabled()) {
-        faults::maybe_delay("serve.eval");
-        if (faults::should_fail("serve.eval")) {
-            throw std::bad_alloc{};
-        }
-    }
-    std::shared_ptr<const std::string> result;
-    {
-        const obs::trace_span span{"serve.exec", "serve"};
-        const auto t0 = std::chrono::steady_clock::now();
-        if (probe != nullptr) {
-            probe->exec_ran = true;
-        }
-        result = std::make_shared<const std::string>(
-            json::dump(evaluate_impl(req, cancel)));
-        if (probe != nullptr) {
-            probe->exec_ns =
-                ns_between(t0, std::chrono::steady_clock::now());
-        }
-    }
+    eval_fault_site();
+    auto result = std::make_shared<const std::string>(
+        json::dump(evaluate_impl(req, cancel)));
     // A cancelled evaluation threw above, so deadline errors are never
     // cached; a result that *did* complete is bit-identical to an
     // uncancelled run (shard-boundary cancellation) and safe to keep.
@@ -883,9 +829,6 @@ bool engine::eval_sweep_fast(const sweep_request& q,
                              const std::vector<double>& xs,
                              std::vector<json::value>& ys,
                              const exec::cancel_token* cancel) {
-    if (q.target == nullptr) {
-        return false;
-    }
     const request& tgt = *q.target;
     // mc_yield points are expensive and benefit from per-point
     // memoization + nested parallelism; table3/stats/sweep targets
@@ -903,9 +846,9 @@ bool engine::eval_sweep_fast(const sweep_request& q,
         return false;  // integer-typed parameter: generic path
     }
 
-    // Cache-aware planning for the SoA-kernel targets: compute each
-    // lane's canonical point key once, splice lanes the point cache
-    // already holds, and run the kernel over the missing lanes only.
+    // Cache-aware planning for the SoA-kernel targets: probe each
+    // lane's canonical point key, splice lanes the point cache already
+    // holds, and run the kernel over the missing lanes only.
     // Lanes are independent and sub-range kernel calls are bit-exact
     // (batch contract), so a gathered evaluation produces the very
     // bytes a full-grid run would; cached lanes carry bytes a fresh
@@ -918,23 +861,12 @@ bool engine::eval_sweep_fast(const sweep_request& q,
                            tgt.op == op_code::yield;
     const bool lane_cache =
         config_.cache_capacity != 0 && !config_.fast_math && kernel_op;
-    std::vector<std::string> keys;  // lane i -> canonical point key
     std::vector<std::shared_ptr<const std::string>> hit;
     std::vector<double> missing_xs;      // kernel input (cache misses)
     std::vector<std::size_t> lane_of;    // kernel lane j -> grid lane i
+    const lane_keys key_of{tgt, q.param};
+    std::string lane_key;
     if (lane_cache) {
-        keys.resize(n);
-        exec::parallel_for(
-            n, config_.parallelism,
-            [&](const exec::shard_range& r) {
-                request local = tgt;
-                double* lslot = numeric_param_ptr(local, q.param);
-                for (std::size_t i = r.begin; i < r.end; ++i) {
-                    *lslot = xs[i];
-                    keys[i] = json::canonical(request_to_json(local));
-                }
-            },
-            cancel);
         hit.resize(n);
         missing_xs.reserve(n);
         lane_of.reserve(n);
@@ -942,7 +874,8 @@ bool engine::eval_sweep_fast(const sweep_request& q,
             // get_if_present: a hit counts, a planning miss does not —
             // the authoritative misses stay wherever evaluation runs,
             // so hit/miss accounting matches the pre-planning engine.
-            hit[i] = cache_.get_if_present(keys[i]);
+            key_of.key_into(xs[i], lane_key);
+            hit[i] = cache_.get_if_present(lane_key);
             if (hit[i] == nullptr) {
                 missing_xs.push_back(xs[i]);
                 lane_of.push_back(i);
@@ -970,6 +903,13 @@ bool engine::eval_sweep_fast(const sweep_request& q,
             },
             cancel);
     };
+    // Answers every lane: kernel lanes from `out`, cached lanes from the
+    // cache.  Kernel lanes also enter the point cache under the key of
+    // their point request, with the bytes that point request writes
+    // (cold_result_into on the lane's request), so a post-sweep point
+    // query is a warm hit.  NaN (scalar-throw) lanes are never cached —
+    // errors never are — and fast_math lanes never are either: point
+    // queries always evaluate the scalar library.
     const auto emit = [&](const std::vector<double>& out) {
         for (std::size_t j = 0; j < m; ++j) {
             const std::size_t i = lane_cache ? lane_of[j] : j;
@@ -997,21 +937,9 @@ bool engine::eval_sweep_fast(const sweep_request& q,
                 ys[i] = json::value{nullptr};  // defensive: cached JSON
             }
         }
-    };
-    // Share kernel lanes with the point cache: each successful lane is
-    // stored under the canonical key of its point request with bytes
-    // identical to a fresh scalar evaluation (`lane_result` rebuilds
-    // the endpoint's exact result object from kernel output + lane
-    // parameters), so a post-sweep point query is a warm hit.  NaN
-    // (scalar-throw) lanes are never cached — errors never are.
-    const auto populate = [&](const std::vector<double>& out,
-                              auto&& lane_result) {
-        // fast_math lanes never enter the point cache: point queries
-        // always evaluate the scalar library, and a fast lane's bytes
-        // can differ within the documented ULP bounds.
-        if (!lane_cache) {
-            return;
-        }
+        request local = tgt;
+        double* lslot = numeric_param_ptr(local, q.param);
+        std::string body;
         for (std::size_t j = 0; j < m; ++j) {
             if (std::isnan(out[j])) {
                 continue;
@@ -1019,8 +947,13 @@ bool engine::eval_sweep_fast(const sweep_request& q,
             if (cancel != nullptr && cancel->expired()) {
                 return;  // best effort: the response needs no cache
             }
+            *lslot = kxs[j];
+            body.clear();
             try {
-                cache_.put(keys[lane_of[j]], json::dump(lane_result(j)));
+                if (cold_result_into(local, body)) {
+                    key_of.key_into(kxs[j], lane_key);
+                    cache_.put(lane_key, body);
+                }
             } catch (const std::exception&) {
                 // Side values threw where the metric did not: skip.
             }
@@ -1046,12 +979,6 @@ bool engine::eval_sweep_fast(const sweep_request& q,
                     cols, out.data() + b, len);
             });
             emit(out);
-            populate(out, [&](std::size_t i) {
-                json::object o;
-                o.set("cost_per_transistor_usd", out[i]);
-                o.set("cost_per_transistor_micro_usd", out[i] * 1e6);
-                return json::value{std::move(o)};
-            });
             return true;
         }
         case op_code::scenario2: {
@@ -1073,21 +1000,6 @@ bool engine::eval_sweep_fast(const sweep_request& q,
                     cols, out.data() + b, len);
             });
             emit(out);
-            populate(out, [&](std::size_t i) {
-                core::scenario2 s;
-                s.wafer_cost =
-                    cost::wafer_cost_model{dollars{c0[i]}, x[i]};
-                s.wafer = geometry::wafer{centimeters{r[i]}};
-                s.design_density = dd[i];
-                s.yield = yield::reference_die_yield{probability{y0[i]}};
-                const microns l{lambda[i]};
-                json::object o;
-                o.set("cost_per_transistor_usd", out[i]);
-                o.set("cost_per_transistor_micro_usd", out[i] * 1e6);
-                o.set("die_area_cm2", s.die_area(l).value());
-                o.set("transistors", s.transistors(l));
-                return json::value{std::move(o)};
-            });
             return true;
         }
         case op_code::yield: {
@@ -1141,15 +1053,6 @@ bool engine::eval_sweep_fast(const sweep_request& q,
                     }
                 });
                 emit(out);
-                populate(out, [&](std::size_t i) {
-                    const double f = ef[i] >= 0.0 ? ef[i]
-                                                  : area[i] * dpc[i];
-                    json::object o;
-                    o.set("model", t.model);
-                    o.set("expected_faults", f);
-                    o.set("yield", out[i]);
-                    return json::value{std::move(o)};
-                });
                 return true;
             }
             if (t.model == "scaled_poisson") {
@@ -1164,16 +1067,6 @@ bool engine::eval_sweep_fast(const sweep_request& q,
                         p.data() + b, out.data() + b, len);
                 });
                 emit(out);
-                populate(out, [&](std::size_t i) {
-                    const yield::scaled_poisson_model model{d[i], p[i]};
-                    json::object o;
-                    o.set("model", t.model);
-                    o.set("yield", out[i]);
-                    o.set("effective_defects_per_cm2",
-                          model.effective_defect_density(
-                              microns{lambda[i]}));
-                    return json::value{std::move(o)};
-                });
                 return true;
             }
             if (t.model == "reference") {
@@ -1187,16 +1080,6 @@ bool engine::eval_sweep_fast(const sweep_request& q,
                         out.data() + b, len);
                 });
                 emit(out);
-                populate(out, [&](std::size_t i) {
-                    const yield::reference_die_yield model{
-                        probability{y0[i]}, square_centimeters{a0[i]}};
-                    json::object o;
-                    o.set("model", t.model);
-                    o.set("yield", out[i]);
-                    o.set("equivalent_defects_per_cm2",
-                          model.equivalent_defect_density());
-                    return json::value{std::move(o)};
-                });
                 return true;
             }
             break;  // unreachable: every validated model has a lane
@@ -1228,7 +1111,7 @@ bool engine::eval_sweep_fast(const sweep_request& q,
                         // holds is spliced instead of re-evaluated —
                         // cached bytes are a fresh scalar evaluation's,
                         // so the response is byte-identical either way.
-                        key = json::canonical(request_to_json(local));
+                        key_of.key_into(xs[i], key);
                         if (const auto cached = cache_.get_if_present(key)) {
                             const json::value res = json::parse(*cached);
                             const json::value* metric = res.as_object().find(
@@ -1262,10 +1145,10 @@ json::value engine::eval_sweep(const sweep_request& q,
     // Grid points are independent; inside a batch worker this degrades
     // to serial with the identical decomposition (exec contract), so
     // sweep responses are byte-stable at every nesting/thread level.
-    // The SoA kernel path is lane-for-lane bit-identical to the
-    // per-point path below (tests/serve/test_engine.cpp pins this) and
-    // populates the same per-point memoization cache.
-    if (!config_.sweep_kernels || !eval_sweep_fast(q, xs, ys, cancel)) {
+    // Every lane equals the primary metric of its own point request
+    // (tests/serve/test_engine.cpp pins this), and kernel lanes populate
+    // the same per-point memoization cache as the per-point path below.
+    if (!eval_sweep_fast(q, xs, ys, cancel)) {
         // A point's catch may swallow a cancelled_error thrown by a
         // nested mc_yield evaluation (null slot), but the cancellable
         // parallel_for re-raises after the join — the expired token is
@@ -1325,26 +1208,25 @@ json::value engine::eval_partition_explore(
     const std::size_t n = xs.size();
 
     // One cost matrix, filled split-by-split (the outer list is <= 8
-    // entries; the per-split grid is where the work is).  Both default
-    // paths run the identical scalar core per cell — the kernel only
-    // batches lanes — so the matrix is bit-identical for either flag
-    // value and any thread count, and infeasible cells are NaN, never
-    // a throw.  Under fast_math the transcendental tail runs on the
-    // vector math instead (cells drift within DESIGN.md §15 bounds,
-    // same NaN classification, still thread-count deterministic).
+    // entries; the per-split grid is where the work is).  The kernel
+    // runs the scalar core per cell — it only batches lanes — so every
+    // cell is bit-identical to its `chiplet` point request at any
+    // thread count, and infeasible cells are NaN, never a throw.  Under
+    // fast_math the transcendental tail runs on the vector math instead
+    // (cells drift within DESIGN.md §15 bounds, same NaN
+    // classification, still thread-count deterministic).
     std::vector<std::vector<double>> cost(splits.size(),
                                           std::vector<double>(n));
     // Explore cells share the point cache with the chiplet endpoint
-    // (kernel path, scalar math, cache enabled): each feasible cell is
-    // exactly the chiplet point request for the scaled spec at that
-    // split, so cells land in — and are answered from — the same
-    // per-point memoization as a direct `op:chiplet` query.  Cached
+    // (scalar math, cache enabled): each feasible cell is exactly the
+    // chiplet point request for the scaled spec at that split, so cells
+    // land in — and are answered from — the same per-point memoization
+    // as a direct `op:chiplet` query.  Cached
     // bytes are a fresh scalar evaluation's result object, so splicing
     // the metric back keeps the response byte-identical to an
-    // empty-cache run at every thread count and either kernel flag.
-    const bool lane_cache = config_.sweep_kernels &&
-                            config_.cache_capacity != 0 &&
-                            !config_.fast_math;
+    // empty-cache run at every thread count.
+    const bool lane_cache =
+        config_.cache_capacity != 0 && !config_.fast_math;
     for (std::size_t s = 0; s < splits.size(); ++s) {
         double* out = cost[s].data();
         const int split = splits[s];
@@ -1365,7 +1247,7 @@ json::value engine::eval_partition_explore(
                         point.memory_area_mm2 = spec.memory_area_mm2;
                         point.io_area_mm2 = spec.io_area_mm2;
                         cell.payload = point;
-                        keys[i] = json::canonical(request_to_json(cell));
+                        canonical_key_into(cell, keys[i]);
                     }
                 },
                 cancel);
@@ -1424,7 +1306,7 @@ json::value engine::eval_partition_explore(
                     // Defensive: cached values always parse.
                 }
             }
-        } else if (config_.sweep_kernels) {
+        } else {
             const bool fm = config_.fast_math;
             exec::parallel_for(
                 n, config_.parallelism,
@@ -1437,24 +1319,6 @@ json::value engine::eval_partition_explore(
                         chiplet::batch::cost_per_good_system(
                             base, split, xs.data() + r.begin,
                             out + r.begin, r.end - r.begin);
-                    }
-                },
-                cancel);
-        } else {
-            exec::parallel_for(
-                n, config_.parallelism,
-                [&](const exec::shard_range& r) {
-                    for (std::size_t i = r.begin; i < r.end; ++i) {
-                        try {
-                            chiplet::chiplet_spec spec =
-                                chiplet::scaled_to_total(base, xs[i]);
-                            spec.chiplets = split;
-                            out[i] = chiplet::evaluate_chiplet(spec)
-                                         .cost_per_good_system_usd;
-                        } catch (const std::exception&) {
-                            out[i] = std::numeric_limits<
-                                double>::quiet_NaN();
-                        }
                     }
                 },
                 cancel);
@@ -1703,9 +1567,6 @@ json::value engine::statusz_json() const {
     config.set("cache_capacity",
                static_cast<double>(config_.cache_capacity));
     config.set("cache_shards", static_cast<double>(config_.cache_shards));
-    config.set("hot_path", config_.hot_path);
-    config.set("batch_dedup", config_.batch_dedup);
-    config.set("sweep_kernels", config_.sweep_kernels);
     config.set("fast_math", config_.fast_math);
     config.set("simd_target",
                std::string{simd::to_string(simd::active_target())});
@@ -1829,7 +1690,7 @@ std::string engine::prometheus_text() const {
     obs::prometheus_sample(out, "silicon_serve_dedup_hits_total",
                            dedup_hits_.load(std::memory_order_relaxed));
     obs::prometheus_header(out, "silicon_serve_arena_bytes_total", "counter",
-                           "Arena bytes consumed by hot-path cache hits");
+                           "Arena bytes consumed by request-line parses");
     obs::prometheus_sample(out, "silicon_serve_arena_bytes_total",
                            arena_bytes_.load(std::memory_order_relaxed));
     obs::prometheus_header(out, "silicon_serve_parallelism", "gauge",
@@ -1859,7 +1720,7 @@ std::string engine::prometheus_text() const {
     obs::prometheus_sample(out, "silicon_serve_inflight_bytes",
                            admission_.inflight_bytes());
     obs::prometheus_header(out, "silicon_serve_hot_declines_total", "counter",
-                           "Hot-path declines forced by the arena byte "
+                           "Line-arena releases forced by the arena byte "
                            "budget");
     obs::prometheus_sample(out, "silicon_serve_hot_declines_total",
                            hot_declines_.load(std::memory_order_relaxed));
@@ -2018,238 +1879,61 @@ void engine::serve_line(
         }
         return;
     }
-    if (faults::enabled()) {
-        faults::maybe_delay("serve.line");
-    }
-    if (config_.hot_path &&
-        try_handle_line_hot(line, start, batch_deadline, out, rec)) {
-        return;
-    }
-    handle_line_slow(line, start, batch_deadline, out, rec);
-}
-
-bool engine::try_handle_line_hot(
-    std::string_view line, std::chrono::steady_clock::time_point start,
-    const std::chrono::steady_clock::time_point* batch_deadline,
-    std::string& out, obs::flight_record* rec) {
     line_state& st = tls_line_state();
     if (config_.limits.max_arena_reserved_bytes != 0 &&
         st.arena.bytes_reserved() > config_.limits.max_arena_reserved_bytes) {
         // Graceful degradation under memory pressure: hand the arena's
-        // chunks back and let the legacy allocator path serve this
-        // line.  The next hot line starts over with a small arena.
+        // chunks back; this line starts over with a small arena.
         st.arena.release();
         hot_declines_.fetch_add(1, std::memory_order_relaxed);
-        return false;
     }
-    if (faults::enabled() && faults::should_fail("serve.arena")) {
-        // Injected arena allocation failure: same decline, no throw.
-        hot_declines_.fetch_add(1, std::memory_order_relaxed);
-        return false;
+    if (faults::enabled()) {
+        faults::maybe_delay("serve.line");
     }
+
+    // One parse per line: the arena document and the typed request it
+    // yields answer hits, misses, stats and every error envelope.
+    const json::aview* doc = nullptr;
+    const json::aview* id = nullptr;
+    const json::aview* trace = nullptr;
+    const request& req = st.parsed.req;
+    op_code op = op_code::stats;
+    bool op_known = false;
+    std::shared_ptr<const std::string> hit;
+    bool parsed = false;
+    bool probed = false;
+    bool evaluated = false;
+    bool failed = false;
+    bool out_of_memory = false;
+    std::string err_code;
+    std::chrono::steady_clock::time_point t_parsed{};
+    std::chrono::steady_clock::time_point t_probed{};
+    std::chrono::steady_clock::time_point t_evaluated{};
+    bool have_deadline = false;
+    std::chrono::steady_clock::time_point deadline_at{};
+
     try {
+        if (faults::enabled() && (faults::should_fail("serve.line") ||
+                                  faults::should_fail("serve.arena"))) {
+            // Injected allocation failure while handling the line: the
+            // catch below answers internal_error — one valid reply per
+            // line even when memory is gone.
+            throw std::bad_alloc{};
+        }
         st.arena.reset();
-        const json::aview* doc = nullptr;
         {
             const obs::trace_span span{"serve.parse", "serve"};
             doc = &st.parser.parse(line, st.arena);
         }
         {
+            // Schema validation + canonical cache-key serialization.
             const obs::trace_span span{"serve.canonicalize", "serve"};
             parse_request_fast(*doc, st.parsed);
         }
-        const auto t_parsed = std::chrono::steady_clock::now();
-        const request& req = st.parsed.req;
-        if (req.op == op_code::stats) {
-            return false;  // live snapshot: never cached, never hot
-        }
-        bool have_deadline = false;
-        std::chrono::steady_clock::time_point deadline_at{};
-        if (req.has_deadline || batch_deadline != nullptr ||
-            config_.limits.default_deadline_ms != 0) {
-            // A warm hit under a live deadline is fine; an expired one
-            // (deadline_ms: 0 always is) declines so the slow path
-            // produces the authoritative deadline_exceeded error.
-            if (req.has_deadline) {
-                deadline_at = deadline_from(start, req.deadline_ms);
-            } else if (batch_deadline != nullptr) {
-                deadline_at = *batch_deadline;
-            } else {
-                deadline_at =
-                    deadline_from(start, config_.limits.default_deadline_ms);
-            }
-            have_deadline = true;
-            exec::cancel_token deadline;
-            deadline.set_deadline(deadline_at);
-            if (deadline.expired()) {
-                return false;
-            }
-        }
-        std::shared_ptr<const std::string> hit;
-        {
-            const obs::trace_span span{"serve.cache", "serve"};
-            // Probe only: a miss is *not* counted here — whichever
-            // cold path serves it (the closed-form evaluation below or
-            // the legacy pipeline) re-probes with get() and owns the
-            // authoritative miss.
-            hit = cache_.get_if_present(req.canonical_key);
-        }
-        const auto t_probed = std::chrono::steady_clock::now();
-        auto t_evaluated = t_probed;
-        bool cold = false;
-        if (hit == nullptr) {
-            // Cold-miss fast path: closed-form point ops evaluate the
-            // scalar library straight from the typed payload and
-            // serialize into the reused TLS buffer, so a cold serve
-            // allocates only for the cache insert (and not even that
-            // when caching is disabled — the zero-alloc gate in
-            // tests/serve/test_hotpath.cpp runs with cache_capacity
-            // 0).  Fault injection stays on the slow path, which owns
-            // every error site.
-            if (faults::enabled()) {
-                return false;
-            }
-            st.cold.clear();
-            {
-                const obs::trace_span span{"serve.exec", "serve"};
-                if (!cold_result_into(req, st.cold)) {
-                    return false;  // ineligible op or slow-path error
-                }
-            }
-            t_evaluated = std::chrono::steady_clock::now();
-            // get() owns the authoritative miss count, exactly like
-            // result_for; a racing writer's bytes win (they are
-            // identical — both paths serialize the scalar library).
-            hit = cache_.get(req.canonical_key);
-            if (hit == nullptr && config_.cache_capacity != 0) {
-                cache_.put(req.canonical_key, st.cold);
-            }
-            cold = true;
-        }
+        id = st.parsed.id_view;
+        trace = st.parsed.trace_view;
         arena_bytes_.fetch_add(st.arena.bytes_allocated(),
                                std::memory_order_relaxed);
-        {
-            const obs::trace_span span{"serve.serialize", "serve"};
-            envelope_into(st.parsed.id_view, st.parsed.trace_view, true,
-                          "result", hit != nullptr ? *hit : st.cold, out);
-        }
-        const auto t_done = std::chrono::steady_clock::now();
-        endpoint_metrics& m = metrics_.at(req.op);
-        m.requests.fetch_add(1, std::memory_order_relaxed);
-        if (!cold) {
-            m.cache_hits.fetch_add(1, std::memory_order_relaxed);
-        }
-        const std::uint64_t total_ns = ns_between(start, t_done);
-        m.latency.record(total_ns);
-        // Stage breakdown (all allocation-free): parse covers
-        // parse+canonicalize, cache the probe, exec the cold
-        // evaluation (warm hits skip it), serialize the splice.
-        m.stage_parse.record(ns_between(start, t_parsed));
-        m.stage_cache.record(ns_between(t_parsed, t_probed));
-        if (cold) {
-            m.stage_exec.record(ns_between(t_probed, t_evaluated));
-        }
-        m.stage_serialize.record(ns_between(t_evaluated, t_done));
-        if (st.parsed.trace_view != nullptr) {
-            note_tail_exemplar(m, total_ns, st.parsed.trace_view->string);
-        }
-        if (rec != nullptr) {
-            obs::assign_field(rec->endpoint, to_string(req.op));
-            flight_id_field_view(rec->id, st.parsed.id_view);
-            if (st.parsed.trace_view != nullptr) {
-                obs::assign_field(rec->trace, st.parsed.trace_view->string);
-            }
-            obs::assign_field(rec->code, "ok");
-            rec->cache_hit = !cold;
-            rec->parse_us = ns_to_us_u32(ns_between(start, t_parsed));
-            rec->cache_us = ns_to_us_u32(ns_between(t_parsed, t_probed));
-            if (cold) {
-                rec->exec_us =
-                    ns_to_us_u32(ns_between(t_probed, t_evaluated));
-            }
-            rec->serialize_us =
-                ns_to_us_u32(ns_between(t_evaluated, t_done));
-            rec->total_us = ns_to_us_u32(total_ns);
-            if (have_deadline) {
-                rec->deadline_slack_us =
-                    std::chrono::duration_cast<std::chrono::microseconds>(
-                        deadline_at - t_done)
-                        .count();
-            }
-        }
-        return true;
-    } catch (...) {
-        // Unsupported shape, schema error, anything: the legacy path
-        // re-parses from scratch and produces the authoritative
-        // response (and error accounting).
-        out.clear();
-        return false;
-    }
-}
-
-void engine::handle_line_slow(
-    std::string_view line, std::chrono::steady_clock::time_point start,
-    const std::chrono::steady_clock::time_point* batch_deadline,
-    std::string& out, obs::flight_record* rec) {
-    const json::value* id = nullptr;
-    json::value id_storage;
-    const std::string* trace = nullptr;
-    std::string trace_storage;
-    std::string response;
-    op_code op = op_code::stats;
-    bool op_known = false;
-    bool failed = false;
-    std::string err_code;
-    line_probe probe;
-    bool parsed = false;
-    std::chrono::steady_clock::time_point t_parsed{};
-    std::uint64_t serialize_ns = 0;
-    bool serialized = false;
-    bool have_deadline = false;
-    std::chrono::steady_clock::time_point deadline_at{};
-
-    try {
-        if (faults::enabled() && faults::should_fail("serve.line")) {
-            // Injected allocation failure while handling the line: the
-            // generic catch below answers internal_error — one valid
-            // reply per line even when memory is gone.
-            throw std::bad_alloc{};
-        }
-        json::value doc;
-        {
-            const obs::trace_span span{"serve.parse", "serve"};
-            doc = json::parse(line);
-        }
-        // Best-effort id/op/trace extraction so even schema errors echo
-        // the caller's correlation id and trace_id.
-        if (doc.is_object()) {
-            if (const json::value* raw_id = doc.as_object().find("id")) {
-                id_storage = *raw_id;
-                id = &id_storage;
-            }
-            if (const json::value* raw_trace =
-                    doc.as_object().find("trace_id")) {
-                if (raw_trace->is_string()) {
-                    trace_storage = raw_trace->as_string();
-                    trace = &trace_storage;
-                }
-            }
-            if (const json::value* raw_op = doc.as_object().find("op")) {
-                if (raw_op->is_string()) {
-                    if (const auto known =
-                            op_from_string(raw_op->as_string())) {
-                        op = *known;
-                        op_known = true;
-                    }
-                }
-            }
-        }
-        request req;
-        {
-            // Schema validation + canonical cache-key serialization.
-            const obs::trace_span span{"serve.canonicalize", "serve"};
-            req = parse_request(doc);
-        }
         t_parsed = std::chrono::steady_clock::now();
         parsed = true;
         op = req.op;
@@ -2282,56 +1966,113 @@ void engine::handle_line_slow(
 
         if (req.op == op_code::stats) {
             // Stats are a live snapshot: never cached, never golden.
-            response = envelope(id, trace, true, "result",
-                                json::dump(stats_json()));
+            st.body = json::dump(stats_json());
         } else {
-            const std::shared_ptr<const std::string> result =
-                result_for(req, cancel, &probe);
-            const obs::trace_span span{"serve.serialize", "serve"};
-            const auto t0 = std::chrono::steady_clock::now();
-            response = envelope(id, trace, true, "result", *result);
-            serialize_ns = ns_between(t0, std::chrono::steady_clock::now());
-            serialized = true;
+            {
+                const obs::trace_span span{"serve.cache", "serve"};
+                hit = cache_.get(req.canonical_key);
+            }
+            t_probed = std::chrono::steady_clock::now();
+            probed = true;
+            if (hit == nullptr) {
+                eval_fault_site();
+                {
+                    // Closed-form point ops serialize into the reused
+                    // buffer (no allocation at cache capacity 0); the
+                    // rest evaluate the request parsed above.
+                    const obs::trace_span span{"serve.exec", "serve"};
+                    st.body.clear();
+                    if (!cold_result_into(req, st.body)) {
+                        if (req.op == op_code::sweep) {
+                            bind_sweep_target(st.parsed);
+                        }
+                        st.body = json::dump(evaluate_impl(req, cancel));
+                    }
+                }
+                t_evaluated = std::chrono::steady_clock::now();
+                evaluated = true;
+                // A cancelled evaluation threw above, so deadline errors
+                // are never cached.
+                if (config_.cache_capacity != 0) {
+                    cache_.put(req.canonical_key, st.body);
+                }
+            }
         }
-    } catch (const json::parse_error& e) {
-        parse_errors_.fetch_add(1, std::memory_order_relaxed);
-        failed = true;
-        err_code = "parse_error";
-        response = envelope(id, trace, false, "error",
-                            error_body("parse_error", e.what()));
+        const obs::trace_span span{"serve.serialize", "serve"};
+        open_envelope(id, trace, true, out);
+        out += hit != nullptr ? std::string_view{*hit}
+                              : std::string_view{st.body};
+        out += '}';
     } catch (const std::exception& e) {
-        if (dynamic_cast<const exec::cancelled_error*>(&e) != nullptr) {
-            deadline_exceeded_.fetch_add(1, std::memory_order_relaxed);
-        }
         failed = true;
-        err_code = error_code_for(e);
-        response = envelope(id, trace, false, "error",
-                            error_body(err_code, e.what()));
+        if (dynamic_cast<const json::parse_error*>(&e) != nullptr) {
+            parse_errors_.fetch_add(1, std::memory_order_relaxed);
+            err_code = "parse_error";
+        } else {
+            if (dynamic_cast<const exec::cancelled_error*>(&e) != nullptr) {
+                deadline_exceeded_.fetch_add(1, std::memory_order_relaxed);
+            }
+            out_of_memory = dynamic_cast<const std::bad_alloc*>(&e) != nullptr;
+            err_code = error_code_for(e);
+        }
+        // Best-effort id/op/trace echo off the document, so even schema
+        // errors carry the caller's correlation id and trace_id (a line
+        // that is not JSON echoes neither).
+        if (doc != nullptr && doc->is_object()) {
+            id = doc->find("id");
+            trace = doc->find("trace_id");
+            if (trace != nullptr && !trace->is_string()) {
+                trace = nullptr;
+            }
+            const json::aview* raw_op = doc->find("op");
+            if (!op_known && raw_op != nullptr && raw_op->is_string()) {
+                if (const auto known = op_from_string(raw_op->string)) {
+                    op = *known;
+                    op_known = true;
+                }
+            }
+        }
+        out.clear();
+        open_envelope(id, trace, false, out);
+        out += "{\"code\":";
+        json::write_string_into(out, err_code);
+        out += ",\"message\":";
+        json::write_string_into(out, e.what());
+        out += "}}";
     }
 
     const auto t_done = std::chrono::steady_clock::now();
     const std::uint64_t total_ns = ns_between(start, t_done);
-    if (op_known || !failed) {
+    // Stage breakdown (all allocation-free): parse covers
+    // parse+canonicalize, cache the probe, exec the miss evaluation,
+    // serialize the envelope.
+    const auto t_served = evaluated ? t_evaluated
+                          : probed  ? t_probed
+                                    : t_parsed;
+    if (op_known) {
         endpoint_metrics& m = metrics_.at(op);
         m.requests.fetch_add(1, std::memory_order_relaxed);
         if (failed) {
             m.errors.fetch_add(1, std::memory_order_relaxed);
         }
+        if (hit != nullptr) {
+            m.cache_hits.fetch_add(1, std::memory_order_relaxed);
+        }
         m.latency.record(total_ns);
         if (parsed) {
             m.stage_parse.record(ns_between(start, t_parsed));
         }
-        if (probe.cache_probed) {
-            m.stage_cache.record(probe.cache_ns);
+        if (probed) {
+            m.stage_cache.record(ns_between(t_parsed, t_probed));
         }
-        if (probe.exec_ran) {
-            m.stage_exec.record(probe.exec_ns);
+        if (evaluated) {
+            m.stage_exec.record(ns_between(t_probed, t_evaluated));
         }
-        if (serialized) {
-            m.stage_serialize.record(serialize_ns);
+        if (parsed && !failed) {
+            m.stage_serialize.record(ns_between(t_served, t_done));
         }
         if (trace != nullptr) {
-            note_tail_exemplar(m, total_ns, *trace);
+            note_tail_exemplar(m, total_ns, trace->string);
         }
     }
     if (rec != nullptr) {
@@ -2340,17 +2081,23 @@ void engine::handle_line_slow(
         }
         flight_id_field(rec->id, id);
         if (trace != nullptr) {
-            obs::assign_field(rec->trace, *trace);
+            obs::assign_field(rec->trace, trace->string);
         }
         obs::assign_field(rec->code, failed ? std::string_view{err_code}
                                             : std::string_view{"ok"});
-        rec->cache_hit = probe.cache_hit;
+        rec->cache_hit = hit != nullptr;
         if (parsed) {
             rec->parse_us = ns_to_us_u32(ns_between(start, t_parsed));
         }
-        rec->cache_us = ns_to_us_u32(probe.cache_ns);
-        rec->exec_us = ns_to_us_u32(probe.exec_ns);
-        rec->serialize_us = ns_to_us_u32(serialize_ns);
+        if (probed) {
+            rec->cache_us = ns_to_us_u32(ns_between(t_parsed, t_probed));
+        }
+        if (evaluated) {
+            rec->exec_us = ns_to_us_u32(ns_between(t_probed, t_evaluated));
+        }
+        if (parsed && !failed) {
+            rec->serialize_us = ns_to_us_u32(ns_between(t_served, t_done));
+        }
         rec->total_us = ns_to_us_u32(total_ns);
         if (have_deadline) {
             rec->deadline_slack_us =
@@ -2360,7 +2107,11 @@ void engine::handle_line_slow(
         }
         rec->anomaly = failed && anomalous_code(err_code);
     }
-    out = std::move(response);
+    if (out_of_memory) {
+        // An allocation failure (real or injected) gives the arena's
+        // chunks back once nothing points into it any more.
+        st.arena.release();
+    }
 }
 
 std::vector<std::string> engine::handle_batch(
@@ -2454,8 +2205,9 @@ std::vector<std::string> engine::handle_batch(
         return record_flight ? &recs[i] : nullptr;
     };
 
-    if (!config_.batch_dedup || config_.cache_capacity == 0 ||
-        lines.size() < 2) {
+    // Intra-batch dedup needs the cache: a twin answers from the entry
+    // its representative left behind.
+    if (config_.cache_capacity == 0 || lines.size() < 2) {
         exec::parallel_for(lines.size(), config_.parallelism,
                            [&](const exec::shard_range& r) {
                                for (std::size_t i = r.begin; i < r.end; ++i) {
@@ -2467,10 +2219,9 @@ std::vector<std::string> engine::handle_batch(
         return responses;
     }
 
-    // Phase A: canonicalize every line with the fast parser — no
-    // metrics or cache side effects.  Lines the fast parser declines
-    // (malformed, unsupported shape, stats) are simply not dedupable
-    // and evaluate individually.
+    // Phase A: canonicalize every line — no metrics or cache side
+    // effects.  Lines that fail to parse, and stats, are simply not
+    // dedupable and evaluate individually.
     constexpr std::size_t npos = std::numeric_limits<std::size_t>::max();
     std::vector<std::string> keys(lines.size());
     std::vector<char> dedupable(lines.size(), 0);
@@ -2526,8 +2277,8 @@ std::vector<std::string> engine::handle_batch(
                        });
 
     // Phase C: twins.  A successful representative left its result in
-    // the cache, so these are warm (with hot_path: allocation-free)
-    // hits that splice each line's own id; a representative that
+    // the cache, so these are warm (allocation-free) hits that splice
+    // each line's own id; a representative that
     // *errored* cached nothing and each twin re-evaluates individually
     // — error responses are never coalesced.
     exec::parallel_for(lines.size(), config_.parallelism,

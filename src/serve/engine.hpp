@@ -20,30 +20,28 @@
 //     (cache.hpp) keyed by the request's canonical serialization;
 //     endpoints are pure functions of their canonical request, so a
 //     hit returns exactly the bytes a fresh evaluation would produce.
-//     Sweep grid points share the same cache as top-level requests on
-//     both the kernel and the per-point path (see engine_config).
-//   * Hot path (`hot_path`): a warm cache hit is answered without a
-//     single heap allocation — the line is parsed into a per-thread
-//     monotonic arena (json_arena.hpp), canonicalized by the
-//     allocation-free twin parser (request_fast.hpp), probed with
-//     memo_cache::get_if_present, and the response envelope is spliced
-//     into a reused buffer.  Any surprise (miss, unsupported shape,
-//     exception) falls back to the legacy pipeline, which re-parses
-//     from scratch, so bytes, error messages and cache accounting are
-//     exactly the legacy ones (DESIGN.md §10).
-//   * Intra-batch dedup (`batch_dedup`): identical canonical keys
-//     within one `handle_batch` call evaluate once; the twins answer
-//     from the cache after the representative completes.  Error
-//     responses are never coalesced — a twin whose representative
-//     failed re-evaluates individually, and every response keeps its
-//     own `id`.
-//   * SoA sweep kernels (`sweep_kernels`): eligible sweep targets
-//     (scenario #1/#2, every yield model) evaluate on the
-//     structure-of-arrays batch kernels in
-//     yield/batch.hpp and cost/batch.hpp, bit-identical to the
-//     per-point path; other targets with a swept double parameter use
-//     a typed per-lane evaluation that skips the per-point JSON round
-//     trip.
+//     Sweep grid points and partition_explore cells share the same
+//     cache as top-level point requests.
+//   * One parse per line: every line is parsed once, into a per-thread
+//     monotonic arena (json_arena.hpp), by the one schema walker
+//     (request_fast.hpp), which also emits the canonical cache key.
+//     That single parse answers cache hits, misses, stats and every
+//     error envelope; a warm hit, and a closed-form miss at cache
+//     capacity 0, perform zero heap allocations — the envelope is
+//     spliced into a reused buffer (DESIGN.md §10).
+//   * Intra-batch dedup: identical canonical keys within one
+//     `handle_batch` call evaluate once (when the cache is enabled);
+//     the twins answer from the cache after the representative
+//     completes.  Error responses are never coalesced — a twin whose
+//     representative failed re-evaluates individually, and every
+//     response keeps its own `id`.
+//   * SoA sweep kernels: eligible sweep targets (scenario #1/#2, every
+//     yield model) and partition_explore evaluate on the
+//     structure-of-arrays batch kernels in yield/batch.hpp,
+//     cost/batch.hpp and chiplet/batch.hpp, each lane bit-identical to
+//     its point request; other targets with a swept double parameter
+//     use a typed per-lane evaluation that skips the per-point JSON
+//     round trip.
 //   * Parallel kernels: endpoints that are themselves parallel
 //     (mc_yield) inherit the engine parallelism; nested use inside a
 //     batch degrades to serial per the exec engine rules, with
@@ -82,20 +80,6 @@ struct engine_config {
     std::size_t cache_capacity = 65536;
     /// Cache shard count (see memo_cache).
     std::size_t cache_shards = 16;
-    /// Arena-backed allocation-free parse/canonicalize/probe fast path
-    /// for `handle_line`; warm cache hits allocate nothing.  Off =
-    /// always take the legacy pipeline (A/B ablation knob; bytes are
-    /// identical either way).
-    bool hot_path = true;
-    /// Coalesce identical canonical keys within one `handle_batch`
-    /// call (requires a non-zero cache_capacity).  Off = every line
-    /// evaluates independently, exactly as before.
-    bool batch_dedup = true;
-    /// Evaluate eligible sweep targets on the SoA batch kernels.
-    /// Kernel lanes populate the per-point memoization cache just like
-    /// the per-point path (a post-sweep point query is a warm hit), so
-    /// this knob changes throughput only, never bytes or cache sharing.
-    bool sweep_kernels = true;
     /// Route sweep/partition_explore kernels through the *_fast
     /// variants (vector transcendentals via simd/math.hpp, dispatched
     /// once per process to AVX2/NEON/scalar — see simd/dispatch.hpp).
@@ -124,9 +108,9 @@ public:
     [[nodiscard]] std::string handle_line(std::string_view line);
 
     /// `handle_line` into a caller-owned buffer (cleared first, but its
-    /// capacity is reused) — with `hot_path` on, a warm cache hit
-    /// through here performs zero heap allocations (gated by
-    /// tests/serve/test_hotpath.cpp with a counting allocator).
+    /// capacity is reused) — a warm cache hit through here performs
+    /// zero heap allocations (gated by tests/serve/test_hotpath.cpp
+    /// with a counting allocator).
     void handle_line_into(std::string_view line, std::string& out);
 
     /// Serve a batch of lines on the exec pool; response i answers
@@ -163,11 +147,11 @@ public:
     }
 
     /// In-batch duplicate lines coalesced behind a representative
-    /// evaluation since start (see `batch_dedup`).
+    /// evaluation since start.
     [[nodiscard]] std::uint64_t dedup_hits() const noexcept {
         return dedup_hits_.load(std::memory_order_relaxed);
     }
-    /// Arena bytes consumed by hot-path cache hits since start.
+    /// Arena bytes consumed by request-line parses since start.
     [[nodiscard]] std::uint64_t arena_bytes() const noexcept {
         return arena_bytes_.load(std::memory_order_relaxed);
     }
@@ -181,8 +165,8 @@ public:
     [[nodiscard]] std::uint64_t deadline_exceeded_total() const noexcept {
         return deadline_exceeded_.load(std::memory_order_relaxed);
     }
-    /// Hot-path declines forced by the arena byte budget (graceful
-    /// degradation to the legacy allocator path) since start.
+    /// Line-arena releases forced by the arena byte budget
+    /// (`limits.max_arena_reserved_bytes`) since start.
     [[nodiscard]] std::uint64_t hot_declines() const noexcept {
         return hot_declines_.load(std::memory_order_relaxed);
     }
@@ -223,22 +207,10 @@ public:
     [[nodiscard]] snapshot_stats snapshot_info() const;
 
 private:
-    /// Cache/exec stage capture for one line, filled by result_for and
-    /// folded into the stage histograms + flight record afterwards.
-    struct line_probe {
-        std::uint64_t cache_ns = 0;
-        std::uint64_t exec_ns = 0;
-        bool cache_probed = false;
-        bool exec_ran = false;
-        bool cache_hit = false;
-    };
-
-    /// Cached result JSON for a request (everything except `stats`).
-    /// `probe` (optional) captures the cache/exec stage timings for the
-    /// top-level line; sweep grid points pass nullptr.
+    /// Cached result JSON for a request (everything except `stats`):
+    /// the per-point path of a generic sweep.
     [[nodiscard]] std::shared_ptr<const std::string> result_for(
-        const request& req, const exec::cancel_token* cancel,
-        line_probe* probe = nullptr);
+        const request& req, const exec::cancel_token* cancel);
 
     /// `evaluate` with an optional cooperative deadline token threaded
     /// into the cancellable endpoints (sweep, mc_yield) plus the
@@ -246,8 +218,8 @@ private:
     [[nodiscard]] json::value evaluate_impl(const request& req,
                                             const exec::cancel_token* cancel);
 
-    /// Size-checked line dispatch shared by the single-line and batch
-    /// entry points (admission against the in-flight byte budget is the
+    /// The one line path (parse once, then hit, evaluate or error),
+    /// shared by the single-line and batch entry points (admission against the in-flight byte budget is the
     /// caller's job — once per public entry, never per batch line).
     /// `rec` non-null = the flight recorder is enabled and the caller
     /// will append the filled record *in line order* (which is what
@@ -257,19 +229,6 @@ private:
                     const std::chrono::steady_clock::time_point*
                         batch_deadline,
                     obs::flight_record* rec);
-
-    /// Allocation-free warm-hit attempt; false = caller must run the
-    /// legacy path (which owns all miss/error accounting).
-    bool try_handle_line_hot(std::string_view line,
-                             std::chrono::steady_clock::time_point start,
-                             const std::chrono::steady_clock::time_point*
-                                 batch_deadline,
-                             std::string& out, obs::flight_record* rec);
-    void handle_line_slow(std::string_view line,
-                          std::chrono::steady_clock::time_point start,
-                          const std::chrono::steady_clock::time_point*
-                              batch_deadline,
-                          std::string& out, obs::flight_record* rec);
 
     /// Shed cache shards if configured (called on overloaded rejects).
     void on_overload();
@@ -282,9 +241,9 @@ private:
                          const std::vector<double>& xs,
                          std::vector<json::value>& ys,
                          const exec::cancel_token* cancel);
-    /// Monolithic-vs-N-way split exploration over a total-area grid:
-    /// SoA chiplet kernel when `sweep_kernels` is on, per-point
-    /// library evaluation otherwise — bit-identical either way.
+    /// Monolithic-vs-N-way split exploration over a total-area grid on
+    /// the SoA chiplet kernel; each cell is bit-identical to its
+    /// `chiplet` point request.
     [[nodiscard]] json::value eval_partition_explore(
         const partition_explore_request& q,
         const exec::cancel_token* cancel);

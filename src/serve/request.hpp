@@ -12,8 +12,8 @@
 // land in the error response — a client typo never silently evaluates
 // the wrong model.
 //
-// Canonicalization: `parse_request` re-serializes the *typed* request
-// (every parameter explicit, defaults filled in, keys sorted) into
+// Canonicalization: parsing re-serializes the *typed* request (every
+// parameter explicit, defaults filled in, keys sorted) into
 // `request::canonical_key`.  Two requests that mean the same
 // evaluation — regardless of member order or omitted defaults — map to
 // the same key, which is what the engine's memoization cache keys on.
@@ -305,8 +305,12 @@ struct request {
     std::string canonical_key;
 };
 
-/// Parse and validate one request document.  Throws request_error on
-/// any schema violation; throws nothing else for any input.
+/// Parse and validate one request document held as a DOM: an adapter
+/// over the one schema walker, `parse_request_fast` (request_fast.hpp),
+/// that also fills the owned fields (`id`, `trace_id`, and a sweep's
+/// `target`/`target_params`).  Throws request_error on any schema
+/// violation.  The DOM is re-read from its JSON text, so a non-finite
+/// number (which JSON cannot spell) reads as null.
 [[nodiscard]] request parse_request(const json::value& doc);
 
 /// The typed request re-serialized with every parameter explicit

@@ -1,28 +1,20 @@
 #include "serve/request_fast.hpp"
 
+#include "exec/arena.hpp"
+
 #include <array>
 #include <cmath>
 #include <cstdint>
+#include <memory>
+#include <stdexcept>
 #include <string>
 #include <variant>
-
-// Every parse function below mirrors its namesake in request.cpp member
-// for member and check for check, in the same order, with the same error
-// codes and messages — the equivalence fuzz test in
-// tests/serve/test_hotpath.cpp compares the two parsers over valid and
-// malformed corpora.  When touching request.cpp, touch the mirror here.
 
 namespace silicon::serve {
 
 namespace {
 
 using json::aview;
-
-/// Thrown when the fast parser declines an input it cannot mirror
-/// allocation-free (nested sweep targets, pathological member counts).
-/// Such inputs are always handled by the legacy fallback, so declining
-/// costs speed, never correctness.
-struct fast_parse_unsupported {};
 
 // ---------------------------------------------------------------------------
 // Validating field access over an arena view
@@ -106,7 +98,8 @@ class fast_reader {
   private:
     const aview* get(const char* key) {
         if (consumed_count_ >= consumed_.size()) {
-            throw fast_parse_unsupported{};  // no endpoint reads this many
+            // Unreachable: every reader consumes a fixed key list.
+            throw std::logic_error("fast_reader: too many fields");
         }
         consumed_[consumed_count_++] = key;
         return o_.find(key);
@@ -135,7 +128,8 @@ const aview& require_object_fast(const aview& v, const char* context) {
     return v;
 }
 
-// Shared with request.cpp by contract (identical registries/messages).
+// Parse-time name registries: a typo'd model/method name fails the
+// request before anything is evaluated (or cached inside a sweep).
 
 void validate_gross_die_method_fast(const std::string& name,
                                     const char* context) {
@@ -232,7 +226,7 @@ T& ensure_payload(request& r) {
 }
 
 // ---------------------------------------------------------------------------
-// Parameter block parsers (in-place twins of request.cpp)
+// Parameter block parsers (in place; defaults are the schema's)
 // ---------------------------------------------------------------------------
 
 void parse_yield_spec_fast(const aview* v, yield_spec_params& out) {
@@ -241,8 +235,6 @@ void parse_yield_spec_fast(const aview* v, yield_spec_params& out) {
         return;
     }
     fast_reader r{require_object_fast(*v, "process.yield"), "process.yield"};
-    // Legacy reads `model` into a temporary before matching; the match
-    // itself is on the same bytes, so match the view directly.
     std::string model_name{"reference"};
     r.text_into("model", model_name);
     if (model_name == "reference") {
@@ -480,8 +472,8 @@ void parse_partition_explore_fast(fast_reader& r, request& req) {
 // ---------------------------------------------------------------------------
 
 // The orders below are the bytewise-sorted key orders json::canonical
-// produces for request_to_json output; the equivalence test compares the
-// emitted keys against json::canonical(request_to_json(r)) for every op.
+// produces for request_to_json output; tests/serve/test_request.cpp
+// compares the emitted keys against json::canonical(request_to_json(r)).
 
 void emit_number(double d, std::string& out) {
     json::format_number_into(d, out);
@@ -781,15 +773,14 @@ void emit_partition_explore_key(const partition_explore_request& q,
 // Top-level parse
 // ---------------------------------------------------------------------------
 
-void parse_sweep_fast(fast_reader& r, fast_parse_state& st);
+void parse_sweep_fast(fast_reader& r, request& req, fast_parse_state& st);
 
-/// Parses a scalar (non-sweep) request document into `out` and appends
-/// its canonical key into `key_out` (cleared first).  `allow_sweep`
-/// distinguishes the top level (sweeps handled via `st`) from sweep
-/// targets (nested sweeps decline to the legacy path).
+/// Parses a request document into `out` and appends its canonical key
+/// into `key_out` (cleared first).  `top` is the caller's state at the
+/// top level (it receives the id/trace views and the sweep target) and
+/// null for a sweep target.
 void parse_request_fast_inner(const aview& doc, request& out,
-                              std::string& key_out,
-                              fast_parse_state* sweep_state) {
+                              std::string& key_out, fast_parse_state* top) {
     if (!doc.is_object()) {
         throw request_error("bad_request", "request must be a JSON object");
     }
@@ -810,13 +801,15 @@ void parse_request_fast_inner(const aview& doc, request& out,
     out.has_id = false;
     if (const aview* id = r.raw("id")) {
         out.has_id = true;
-        if (sweep_state != nullptr) {
-            sweep_state->id_view = id;
+        if (top != nullptr) {
+            top->id_view = id;
         }
     }
     out.has_deadline = false;
     out.deadline_ms = 0;
     if (r.raw("deadline_ms") != nullptr) {
+        // Envelope-level like `id`: validated here, excluded from the
+        // canonical key so deadlines never split the memoization cache.
         out.deadline_ms = r.uinteger("deadline_ms", 0);
         out.has_deadline = true;
     }
@@ -826,14 +819,19 @@ void parse_request_fast_inner(const aview& doc, request& out,
             throw request_error("bad_param",
                                 "request: field 'trace_id' must be a string");
         }
-        // `request::trace_id` stays untouched on the fast path (assigning
-        // could allocate); the echo reads the arena-backed view instead.
+        // `request::trace_id` stays untouched (assigning could allocate);
+        // the echo reads the arena-backed view instead.
         out.has_trace = true;
-        if (sweep_state != nullptr) {
-            sweep_state->trace_view = trace;
+        if (top != nullptr) {
+            top->trace_view = trace;
         }
     }
 
+    // A sweep nested as a sweep target is always rejected by the outer
+    // sweep, but its own errors surface first; that rare shape parses
+    // through scratch of its own.
+    std::unique_ptr<fast_parse_state> nested;
+    fast_parse_state* sweep_state = top;
     switch (*op) {
         case op_code::cost_tr: parse_cost_tr_fast(r, out); break;
         case op_code::gross_die: parse_gross_die_fast(r, out); break;
@@ -844,12 +842,10 @@ void parse_request_fast_inner(const aview& doc, request& out,
         case op_code::mc_yield: parse_mc_yield_fast(r, out); break;
         case op_code::sweep:
             if (sweep_state == nullptr) {
-                // Nested sweep target: always rejected downstream, but the
-                // legacy parser surfaces the *target's* error first, which
-                // would need unbounded scratch to mirror.  Decline instead.
-                throw fast_parse_unsupported{};
+                nested = std::make_unique<fast_parse_state>();
+                sweep_state = nested.get();
             }
-            parse_sweep_fast(r, *sweep_state);
+            parse_sweep_fast(r, out, *sweep_state);
             break;
         case op_code::stats:
             ensure_payload<stats_request>(out);
@@ -862,19 +858,16 @@ void parse_request_fast_inner(const aview& doc, request& out,
     r.forbid_unknown();
 
     key_out.clear();
-    switch (*op) {
-        case op_code::sweep:
-            emit_sweep_key(std::get<sweep_request>(out.payload),
-                           sweep_state->target_key, key_out);
-            break;
-        default:
-            canonical_key_into(out, key_out);
-            break;
+    if (*op == op_code::sweep) {
+        emit_sweep_key(std::get<sweep_request>(out.payload),
+                       sweep_state->target_key, key_out);
+    } else {
+        canonical_key_into(out, key_out);
     }
 }
 
-void parse_sweep_fast(fast_reader& r, fast_parse_state& st) {
-    sweep_request& out = ensure_payload<sweep_request>(st.req);
+void parse_sweep_fast(fast_reader& r, request& req, fast_parse_state& st) {
+    sweep_request& out = ensure_payload<sweep_request>(req);
 
     const aview* target = r.raw("target");
     if (target == nullptr) {
@@ -895,7 +888,7 @@ void parse_sweep_fast(fast_reader& r, fast_parse_state& st) {
     }
 
     parse_request_fast_inner(*target, st.target_req, st.target_key,
-                             /*sweep_state=*/nullptr);
+                             /*top=*/nullptr);
     if (st.target_req.op == op_code::sweep ||
         st.target_req.op == op_code::stats ||
         primary_metric(st.target_req.op) == nullptr) {
@@ -919,9 +912,6 @@ void parse_sweep_fast(fast_reader& r, fast_parse_state& st) {
                                 "' does not address a numeric parameter of "
                                 "the target");
     }
-    // Unlike the legacy parser, target/target_params stay empty: the fast
-    // path only needs the canonical key, and a cache miss re-parses the
-    // line through the legacy pipeline before evaluating.
 
     const aview* from = r.raw("from");
     const aview* to_v = r.raw("to");
@@ -961,6 +951,35 @@ void parse_request_fast(const json::aview& doc, fast_parse_state& st) {
     parse_request_fast_inner(doc, st.req, st.req.canonical_key, &st);
 }
 
+void bind_sweep_target(fast_parse_state& st) {
+    auto& q = std::get<sweep_request>(st.req.payload);
+    auto target = std::make_shared<request>(st.target_req);
+    target->canonical_key = st.target_key;
+    q.target_params = request_to_json(*target).as_object();
+    q.target = std::move(target);
+}
+
+request parse_request(const json::value& doc) {
+    // One schema walker: the DOM is re-read as arena views (its dump is
+    // the JSON text it was parsed from, numbers round-trip exactly).
+    const std::string text = json::dump(doc);
+    exec::arena arena;
+    json::arena_parser parser;
+    fast_parse_state st;
+    parse_request_fast(parser.parse(text, arena), st);
+    if (st.req.op == op_code::sweep) {
+        bind_sweep_target(st);
+    }
+    request out = std::move(st.req);
+    if (out.has_id) {
+        out.id = *doc.as_object().find("id");
+    }
+    if (out.has_trace) {
+        out.trace_id = st.trace_view->string;
+    }
+    return out;
+}
+
 void canonical_key_into(const request& r, std::string& out) {
     switch (r.op) {
         case op_code::cost_tr:
@@ -985,8 +1004,8 @@ void canonical_key_into(const request& r, std::string& out) {
             emit_mc_yield_key(std::get<mc_yield_request>(r.payload), out);
             break;
         case op_code::sweep: {
-            // Test/utility path for legacy-parsed sweeps (target_params
-            // populated); the hot path splices the precomputed target key.
+            // Bound sweeps only (target_params populated); the parser
+            // splices the target key it already emitted.
             const auto& q = std::get<sweep_request>(r.payload);
             std::string target_key;
             json::canonical_into(json::value{q.target_params}, target_key);
@@ -1007,7 +1026,7 @@ void canonical_key_into(const request& r, std::string& out) {
 }
 
 // ---------------------------------------------------------------------------
-// Numeric parameter tables (mirror of parse_sweep's canonical-JSON walk)
+// Numeric parameter tables (the numeric members of request_to_json)
 // ---------------------------------------------------------------------------
 
 namespace {

@@ -1,26 +1,19 @@
-// request_fast.hpp — allocation-free request parsing for the serve hot path.
+// request_fast.hpp — the request parser of the serve protocol.
 //
-// `parse_request` (request.hpp) builds heap-owned `json::value` trees and
-// strings per line; that cost dominates a warm cache hit.  This module is
-// its allocation-free twin: it parses an arena-backed `json::aview`
-// document into a *reused* `request` (string members keep their capacity,
-// the payload variant keeps its alternative when the op repeats) and emits
-// the canonical cache key directly into a reused buffer through
-// hand-ordered sorted-key emitters — no DOM, no sort, no temporaries.
-//
-// Equivalence contract (pinned by tests/serve/test_hotpath.cpp): for every
-// input document, `parse_request_fast` either
-//   - succeeds producing the byte-identical `canonical_key` that
-//     `parse_request(json::parse(line))` would produce, or
-//   - throws a `request_error` with the same code and message.
-// The engine additionally tolerates divergence defensively: any hot-path
-// failure falls back to the legacy pipeline, so a bug here can cost
-// speed, never bytes.
+// `parse_request_fast` walks an arena-backed `json::aview` document
+// (json_arena.hpp) into a *reused* `request` (string members keep their
+// capacity, the payload variant keeps its alternative when the op
+// repeats) and emits the canonical cache key directly into a reused
+// buffer through hand-ordered sorted-key emitters — no DOM, no sort, no
+// temporaries, so a warm parse allocates nothing.  It is the only
+// schema walker: the engine parses every line through it exactly once,
+// and `parse_request` (request.hpp) is a thin adapter over it for
+// callers that already hold a `json::value`.
 //
 // `numeric_param_exists` / `numeric_param_ptr` are compile-time member
-// tables mirroring parse_sweep's walk over the canonical target JSON; the
-// pointer variant is what the engine's batched sweep evaluation pokes per
-// grid point instead of cloning and re-parsing a JSON document.
+// tables over the canonical request form; the pointer variant is what
+// the engine's batched sweep evaluation pokes per grid point instead of
+// cloning and re-parsing a JSON document.
 
 #pragma once
 
@@ -40,32 +33,36 @@ struct fast_parse_state {
     /// view is left in `id_view` for the caller to serialize directly.
     request req;
     const json::aview* id_view = nullptr;
-    /// Like `id_view`: `req.trace_id` is NOT assigned on the fast path
-    /// (that could allocate) — the envelope echo serializes this view.
-    /// Non-null iff `req.has_trace`.
+    /// Like `id_view`: `req.trace_id` is NOT assigned (that could
+    /// allocate) — the envelope echo serializes this view.  Non-null iff
+    /// `req.has_trace`.
     const json::aview* trace_view = nullptr;
 
-    /// Sweep scratch: the parsed target and its canonical key.  A fast-
-    /// parsed sweep carries no evaluable payload (`sweep_request::target`
-    /// stays null) — the hot path only needs its canonical key; a cache
-    /// miss re-parses through the legacy path before evaluating.
+    /// Sweep scratch: the parsed target and its canonical key.  A parsed
+    /// sweep carries no evaluable payload (`sweep_request::target` stays
+    /// null) until `bind_sweep_target` builds it, so a warm sweep hit
+    /// never does.
     request target_req;
     std::string target_key;
 };
 
 /// Parse and validate one arena-view document into `st` (in place,
-/// allocation-free once warm).  Throws request_error exactly like
-/// parse_request; leaves `st` in an unspecified (but reusable) state on
+/// allocation-free once warm).  Throws request_error on any schema
+/// violation; leaves `st` in an unspecified (but reusable) state on
 /// throw.
 void parse_request_fast(const json::aview& doc, fast_parse_state& st);
 
-/// Appends the canonical cache key of a fully-parsed non-sweep request.
-/// (Sweeps need the target key; parse_request_fast splices it inline.)
+/// Gives the sweep parsed into `st.req` its evaluable target: `target`
+/// (a copy of `st.target_req`, keyed by `st.target_key`) and
+/// `target_params` (the target's canonical parameters).  Allocates.
+void bind_sweep_target(fast_parse_state& st);
+
+/// Appends the canonical cache key of a fully-parsed request (a sweep
+/// must carry `target_params`).
 void canonical_key_into(const request& r, std::string& out);
 
 /// True when dotted `path` addresses a numeric parameter of `r`'s
-/// canonical serialization — the exact acceptance set of parse_sweep's
-/// walk over request_to_json (integer-typed parameters included).
+/// canonical serialization (integer-typed parameters included).
 [[nodiscard]] bool numeric_param_exists(const request& r,
                                         std::string_view path);
 

@@ -569,7 +569,6 @@ TEST(EngineFaults, AllocFailAtServeEvalAnswersInternalError) {
     const faults_guard guard;
     engine_config config;
     config.parallelism = 1;
-    config.hot_path = false;  // route through the legacy pipeline
     engine e{config};
     faults::configure("alloc_fail@serve.eval");
     EXPECT_EQ(error_code(e.handle_line("{\"op\":\"scenario1\"}")),
@@ -581,7 +580,6 @@ TEST(EngineFaults, AllocFailAtServeEvalCoversChipletEndpoints) {
     const faults_guard guard;
     engine_config config;
     config.parallelism = 1;
-    config.hot_path = false;  // route through the legacy pipeline
     engine e{config};
     faults::configure("alloc_fail@serve.eval");
     EXPECT_EQ(error_code(e.handle_line("{\"op\":\"chiplet\"}")),
@@ -600,17 +598,20 @@ TEST(EngineFaults, AllocFailAtServeEvalCoversChipletEndpoints) {
               "");
 }
 
-TEST(EngineFaults, ArenaFaultDegradesToLegacyPathSameBytes) {
+TEST(EngineFaults, ArenaFaultAnswersInternalError) {
     const faults_guard guard;
     engine_config config;
     config.parallelism = 1;
     engine e{config};
-    const std::string line = "{\"op\":\"scenario1\"}";
+    const std::string line = "{\"op\":\"scenario1\",\"id\":\"a\"}";
     const std::string reference = e.handle_line(line);  // warm the cache
     faults::configure("alloc_fail@serve.arena");
-    const std::string degraded = e.handle_line(line);
-    EXPECT_EQ(degraded, reference);  // decline, not a failure
-    EXPECT_GE(e.hot_declines(), 1u);
+    // Like serve.line, the fault fires before the parse: one
+    // well-formed reply for the line, and the arena is released.
+    EXPECT_EQ(error_code(e.handle_line(line)), "internal_error");
+    EXPECT_GE(faults::injected("serve.arena"), 1u);
+    faults::reset();
+    EXPECT_EQ(e.handle_line(line), reference);  // the arena regrows
 }
 
 TEST(EngineFaults, ArenaBudgetDegradesHotPath) {

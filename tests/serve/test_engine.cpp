@@ -1,5 +1,6 @@
 #include "serve/engine.hpp"
 
+#include "chiplet/model.hpp"
 #include "opt/partition.hpp"
 
 #include <gtest/gtest.h>
@@ -254,13 +255,10 @@ TEST(Engine, StatsEndpointIsLive) {
 }
 
 TEST(Engine, SweepSharesCacheWithPointQueries) {
-    // Point/sweep cache sharing holds on the generic per-point path
-    // (which answers pre-warmed points from the cache) — and the SoA
-    // kernel path populates the same cache from its lanes, so the
-    // sharing is bidirectional under either flag.
-    serve::engine_config config = config_with(1);
-    config.sweep_kernels = false;
-    serve::engine engine{config};
+    // Point/sweep cache sharing: the kernel sweep planner answers a
+    // pre-warmed grid point from the cache (and its lanes populate the
+    // same cache, so the sharing is bidirectional).
+    serve::engine engine{config_with(1)};
     // Pre-answer one grid point as a standalone request.
     (void)engine.handle_line(R"({"op":"scenario1","lambda_um":0.5})");
     const auto before = engine.cache_stats();
@@ -301,7 +299,7 @@ TEST(Engine, SweepKernelLanesPopulateThePointCache) {
          R"({"op":"chiplet","chiplets":4,"d2d_area_mm2":6})"},
     };
     for (const auto& [sweep, point] : cases) {
-        serve::engine engine{config_with(1)};  // sweep_kernels default on
+        serve::engine engine{config_with(1)};
         (void)engine.handle_line(sweep);
         const auto before = engine.cache_stats();
         const std::string warm = engine.handle_line(point);
@@ -495,9 +493,9 @@ TEST(Engine, BatchDedupDoesNotCoalesceErrors) {
 }
 
 TEST(Engine, BatchDedupDisabledLeavesBehaviorIntact) {
-    serve::engine_config config = config_with(1);
-    config.batch_dedup = false;
-    serve::engine engine{config};
+    // Dedup answers twins from the cache, so a cache-free engine runs
+    // every line on its own — with identical bytes.
+    serve::engine engine{config_with(1, /*cache_capacity=*/0)};
     const std::vector<std::string> lines = {
         R"({"op":"scenario1","lambda_um":0.5})",
         R"({"op":"scenario1","lambda_um":0.5})",
@@ -507,10 +505,46 @@ TEST(Engine, BatchDedupDisabledLeavesBehaviorIntact) {
     EXPECT_EQ(engine.dedup_hits(), 0u);
 }
 
+/// The primary metric a point request answers, as JSON text ("null"
+/// when the point is an error).
+std::string point_metric(serve::engine& engine, const std::string& line,
+                         serve::op_code op) {
+    const json::value doc = json::parse(engine.handle_line(line));
+    const json::value* result = doc.as_object().find("result");
+    if (result == nullptr) {
+        return "null";
+    }
+    return json::dump(*result->as_object().find(serve::primary_metric(op)));
+}
+
+/// `target` with the dotted `param` set to `x` (intermediate objects
+/// created as needed), as a request line.
+std::string point_line(json::value target, const std::string& param,
+                       double x) {
+    json::value* node = &target;
+    std::size_t begin = 0;
+    for (;;) {
+        const std::size_t dot = param.find('.', begin);
+        const std::string key = param.substr(
+            begin, dot == std::string::npos ? std::string::npos : dot - begin);
+        if (dot == std::string::npos) {
+            node->as_object().set(key, json::value{x});
+            return json::dump(target);
+        }
+        if (node->as_object().find(key) == nullptr) {
+            node->as_object().set(key, json::value{json::object{}});
+        }
+        node = node->as_object().find(key);
+        begin = dot + 1;
+    }
+}
+
 TEST(Engine, SweepKernelMatchesGenericPath) {
-    // The SoA kernel sweep path must be byte-identical to the generic
-    // per-point path for every kernel-eligible target, at every thread
-    // count, including infeasible (null) lanes.
+    // A lane equals its point query: every ys[i] of a sweep is the
+    // primary metric of the matching point request on a fresh engine,
+    // and null exactly when that point errors — for every
+    // kernel-eligible target (the seven yield models, scenario #1/#2)
+    // and the typed per-lane targets, at every thread count.
     const std::vector<std::string> sweeps = {
         R"({"op":"sweep","param":"lambda_um","from":0.5,"to":1.5,"count":7,
             "target":{"op":"scenario1"}})",
@@ -554,23 +588,41 @@ TEST(Engine, SweepKernelMatchesGenericPath) {
             "target":{"op":"chiplet","chiplets":8}})",
     };
     for (unsigned parallelism : {1u, 4u, 0u}) {
-        serve::engine_config on = config_with(parallelism);
-        serve::engine_config off = config_with(parallelism);
-        off.sweep_kernels = false;
-        serve::engine kernel{on};
-        serve::engine generic{off};
+        serve::engine engine{config_with(parallelism)};
         for (const std::string& line : sweeps) {
-            EXPECT_EQ(generic.handle_line(line), kernel.handle_line(line))
-                << "parallelism=" << parallelism << " line=" << line;
+            SCOPED_TRACE(line);
+            const json::value request = json::parse(line);
+            const json::object& sweep = request.as_object();
+            const json::value& target = *sweep.find("target");
+            const std::string& param = sweep.find("param")->as_string();
+            const serve::op_code op = *serve::op_from_string(
+                target.as_object().find("op")->as_string());
+
+            const json::value response = json::parse(engine.handle_line(line));
+            const json::object& result =
+                response.as_object().find("result")->as_object();
+            const json::array& xs = result.find("xs")->as_array();
+            const json::array& ys = result.find("ys")->as_array();
+            ASSERT_EQ(xs.size(), ys.size());
+            serve::engine fresh{config_with(parallelism)};
+            for (std::size_t i = 0; i < xs.size(); ++i) {
+                EXPECT_EQ(json::dump(ys[i]),
+                          point_metric(fresh,
+                                       point_line(target, param,
+                                                  xs[i].as_number()),
+                                       op))
+                    << "parallelism=" << parallelism << " lane=" << i;
+            }
         }
     }
 }
 
 TEST(Engine, PartitionExploreBitIdenticalAcrossKernelsAndThreads) {
-    // The crossover response is golden material: the SoA chiplet kernel
-    // and the per-point fallback must agree byte for byte at every
-    // thread count (the acceptance property the silicond smoke pins
-    // end-to-end).
+    // The crossover response is golden material: byte-identical at
+    // every thread count, and every cell equals the primary metric of
+    // its `chiplet` point request (the base configuration at that split,
+    // areas rescaled to the cell's total) — null exactly when that point
+    // errors.
     const std::vector<std::string> lines = {
         R"({"op":"partition_explore"})",
         R"({"op":"partition_explore","splits":"1,2,4,8","count":17,
@@ -583,25 +635,51 @@ TEST(Engine, PartitionExploreBitIdenticalAcrossKernelsAndThreads) {
         R"({"op":"partition_explore","splits":"1,16","count":8,
             "area_from_mm2":5,"area_to_mm2":70000,"scale":"log"})",
     };
-    serve::engine reference{[] {
-        serve::engine_config c = config_with(1);
-        c.sweep_kernels = false;
-        return c;
-    }()};
-    std::vector<std::string> expected;
-    expected.reserve(lines.size());
     for (const std::string& line : lines) {
-        expected.push_back(reference.handle_line(line));
-    }
-    for (unsigned parallelism : {1u, 4u, 0u}) {
-        for (const bool kernels : {true, false}) {
-            serve::engine_config config = config_with(parallelism);
-            config.sweep_kernels = kernels;
-            serve::engine engine{config};
-            for (std::size_t i = 0; i < lines.size(); ++i) {
-                EXPECT_EQ(engine.handle_line(lines[i]), expected[i])
-                    << "parallelism=" << parallelism
-                    << " kernels=" << kernels << " line=" << lines[i];
+        SCOPED_TRACE(line);
+        const serve::request req = serve::parse_request(json::parse(line));
+        const auto& q = std::get<serve::partition_explore_request>(req.payload);
+        std::string expected;
+        for (unsigned parallelism : {1u, 4u, 0u}) {
+            serve::engine engine{config_with(parallelism)};
+            const std::string response = engine.handle_line(line);
+            if (expected.empty()) {
+                expected = response;
+            }
+            EXPECT_EQ(response, expected) << "parallelism=" << parallelism;
+
+            const json::value doc = json::parse(response);
+            const json::object& result =
+                doc.as_object().find("result")->as_object();
+            const json::array& splits = result.find("splits")->as_array();
+            const json::array& xs = result.find("xs")->as_array();
+            const json::array& ys = result.find("ys")->as_array();
+            serve::engine fresh{config_with(parallelism)};
+            for (std::size_t s = 0; s < splits.size(); ++s) {
+                for (std::size_t i = 0; i < xs.size(); ++i) {
+                    silicon::chiplet::chiplet_spec areas;
+                    areas.logic_area_mm2 = q.base.logic_area_mm2;
+                    areas.memory_area_mm2 = q.base.memory_area_mm2;
+                    areas.io_area_mm2 = q.base.io_area_mm2;
+                    areas = silicon::chiplet::scaled_to_total(
+                        areas, xs[i].as_number());
+                    serve::request point;
+                    point.op = serve::op_code::chiplet;
+                    serve::chiplet_request cell = q.base;
+                    cell.chiplets =
+                        static_cast<int>(splits[s].as_number());
+                    cell.logic_area_mm2 = areas.logic_area_mm2;
+                    cell.memory_area_mm2 = areas.memory_area_mm2;
+                    cell.io_area_mm2 = areas.io_area_mm2;
+                    point.payload = cell;
+                    EXPECT_EQ(json::dump(ys[s].as_array()[i]),
+                              point_metric(
+                                  fresh,
+                                  json::dump(serve::request_to_json(point)),
+                                  serve::op_code::chiplet))
+                        << "parallelism=" << parallelism << " split="
+                        << cell.chiplets << " cell=" << i;
+                }
             }
         }
     }

@@ -11,6 +11,7 @@
 // process-global obs gauges, which must not race other serve tests.
 
 #include "obs/metrics.hpp"
+#include "serve/conn.hpp"
 #include "serve/engine.hpp"
 #include "serve/event_loop.hpp"
 #include "serve/io.hpp"
@@ -22,11 +23,15 @@
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <poll.h>
+#include <sys/ioctl.h>
 #include <sys/socket.h>
+#include <sys/un.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <cerrno>
 #include <chrono>
+#include <cstddef>
 #include <cstring>
 #include <fstream>
 #include <string>
@@ -198,6 +203,120 @@ TEST(EventLoop, GoldenBytesAtEveryParallelism) {
         }
         ::close(fd);
     }
+}
+
+// ---------------------------------------------------------------------------
+// Fairness: a readiness event reads one chunk, so a client that keeps
+// its socket full cannot hold the reactor.
+// ---------------------------------------------------------------------------
+
+TEST(Conn, OneReadableEventConsumesAtMostOneChunk) {
+    int sv[2];
+    ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0, sv), 0);
+    ASSERT_EQ(::fcntl(sv[0], F_SETFL, O_NONBLOCK), 0);
+    // Blank lines are keep-alives: consumed without any reply.
+    const std::string queued(40u << 10, '\n');
+    send_all(sv[1], queued);
+
+    serve::engine eng{serve::engine_config{.parallelism = 1}};
+    serve::conn_shared shared{eng, serve::conn_config{}};
+    {
+        serve::conn c{sv[0], shared};  // owns and closes sv[0]
+        const auto unread = [&] {
+            int n = 0;
+            EXPECT_EQ(::ioctl(sv[0], FIONREAD, &n), 0);
+            return static_cast<std::size_t>(n);
+        };
+        c.on_readable();
+        EXPECT_EQ(unread(), queued.size() - serve::conn::read_chunk_bytes);
+        EXPECT_TRUE(c.wants_read());
+        c.on_readable();
+        EXPECT_EQ(unread(),
+                  queued.size() - 2 * serve::conn::read_chunk_bytes);
+        EXPECT_FALSE(c.finished());
+    }
+    ::close(sv[1]);
+}
+
+TEST(EventLoop, FullSocketDoesNotStarveOtherConnections) {
+    // Unix-domain stream sockets: a writer refills the server's queue
+    // as fast as the loop drains it, so the first client's socket
+    // deterministically never runs dry while it floods.
+    sockaddr_un addr{};
+    addr.sun_family = AF_UNIX;
+    const std::string name =
+        "silicon-fairness-" + std::to_string(::getpid());
+    std::memcpy(addr.sun_path + 1, name.data(), name.size());  // abstract
+    const auto addr_len =
+        static_cast<socklen_t>(offsetof(sockaddr_un, sun_path) + 1 +
+                               name.size());
+    const int listener = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
+    ASSERT_GE(listener, 0) << std::strerror(errno);
+    ASSERT_EQ(::bind(listener, reinterpret_cast<sockaddr*>(&addr), addr_len),
+              0)
+        << std::strerror(errno);
+    ASSERT_EQ(::listen(listener, 16), 0);
+    serve::engine eng{serve::engine_config{.parallelism = 1}};
+    serve::event_loop loop{eng, listener, serve::event_loop_config{}};
+    std::thread runner{[&] { loop.run(); }};
+    const auto connect_unix = [&] {
+        const int fd = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
+        EXPECT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), addr_len),
+                  0)
+            << std::strerror(errno);
+        timeval tv{};
+        tv.tv_sec = 30;
+        ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+        return fd;
+    };
+
+    const int flood = connect_unix();
+    std::atomic<bool> stop{false};
+    std::atomic<bool> flood_done{false};
+    std::atomic<std::size_t> flooded{0};
+    // The first client keeps its socket full of requests and drains its
+    // replies, so backpressure never pauses it.
+    std::thread writer{[&] {
+        std::string chunk;
+        while (chunk.size() < (64u << 10)) {
+            chunk += "{\"op\":\"scenario1\"}\n";
+        }
+        while (!stop.load() && flooded.load() < (32u << 20)) {
+            const ssize_t n =
+                ::send(flood, chunk.data(), chunk.size(), MSG_NOSIGNAL);
+            if (n <= 0) {
+                break;
+            }
+            flooded += static_cast<std::size_t>(n);
+        }
+        flood_done = true;
+    }};
+    std::thread drain{[&] {
+        char buf[65536];
+        while (::recv(flood, buf, sizeof buf, 0) > 0) {
+        }
+    }};
+    while (flooded.load() < (1u << 20)) {
+        std::this_thread::yield();
+    }
+
+    const int other = connect_unix();
+    send_all(other, "{\"id\":1,\"op\":\"scenario1\"}\n");
+    const std::vector<std::string> got = read_lines(other, 1);
+    const bool answered_mid_flood = !flood_done.load();
+    stop = true;
+    ::shutdown(flood, SHUT_RDWR);
+    writer.join();
+    drain.join();
+    loop.stop();
+    runner.join();
+
+    ASSERT_EQ(got.size(), 1u);
+    EXPECT_NE(got[0].find("\"ok\":true"), std::string::npos) << got[0];
+    EXPECT_TRUE(answered_mid_flood)
+        << "the second connection waited for the flood to end";
+    ::close(flood);
+    ::close(other);
 }
 
 TEST(EventLoop, TornLinesAcrossTcpSegments) {
