@@ -16,6 +16,12 @@
 //    dedup), fanned across the same thread pool.  Responses must be
 //    byte-identical; throughput must be >= 3x.
 //
+// 3. The cache layer on its own (no gate): ns per memo_cache get-hit,
+//    get-miss and put-with-eviction on a full cache at the engine's
+//    default geometry (65,536 entries in 16 shards), ~120-byte
+//    canonical-style keys and 200-byte values, keys visited in
+//    shuffled order.
+//
 // Results land in BENCH_serve.json (machine readable, git-tracked).
 // SILICON_BENCH_TINY=1 shrinks the workload and skips both gates so CI
 // smoke runs stay cheap and unflaky.
@@ -24,12 +30,14 @@
 #include "serve/cache.hpp"
 #include "serve/engine.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -246,6 +254,97 @@ double run_pass(serve::engine& engine, const std::vector<std::string>& lines,
     return rate;
 }
 
+/// ns per operation of the cache layer (pass set 3).
+struct cache_layer_result {
+    std::size_t entries = 0;
+    std::size_t shards = 0;
+    std::size_t ops = 0;
+    double key_bytes = 0.0;  ///< mean key length
+    std::size_t value_bytes = 0;
+    double get_hit_ns = 0.0;
+    double get_miss_ns = 0.0;
+    double put_evict_ns = 0.0;
+};
+
+/// A canonical-style sweep-lane key, ~120 bytes.
+std::string cache_key(std::size_t i) {
+    return R"({"c0_usd":1000,"design_density":1,"lambda_um":)" +
+           num(0.35 + 1e-7 * static_cast<double>(i)) +
+           R"(,"op":"scenario1","wafer_radius_cm":7.5,"x":1.5,"y0":0.7})";
+}
+
+template <class Body>
+double ns_per_op(std::size_t ops, Body&& body) {
+    const auto start = std::chrono::steady_clock::now();
+    for (std::size_t i = 0; i < ops; ++i) {
+        body(i);
+    }
+    const auto stop = std::chrono::steady_clock::now();
+    return std::chrono::duration<double, std::nano>(stop - start).count() /
+           static_cast<double>(ops);
+}
+
+cache_layer_result measure_cache_layer(std::size_t ops) {
+    cache_layer_result r;
+    r.entries = 65536;
+    r.shards = 16;
+    r.ops = ops;
+    r.value_bytes = 200;
+    serve::memo_cache cache{r.entries, r.shards};
+    const std::string value(r.value_bytes, 'v');
+    for (std::size_t i = 0; i < r.entries; ++i) {
+        cache.put(cache_key(i), value);
+    }
+
+    // Fresh keys for the evicting puts, prebuilt with their values so
+    // the timed loop is the put alone (the value is moved in).
+    std::vector<std::string> fresh(ops);
+    std::vector<std::string> values(ops, value);
+    double key_total = 0.0;
+    for (std::size_t i = 0; i < ops; ++i) {
+        fresh[i] = cache_key(r.entries + i);
+        key_total += static_cast<double>(fresh[i].size());
+    }
+    r.key_bytes = key_total / static_cast<double>(ops);
+    r.put_evict_ns = ns_per_op(ops, [&](std::size_t i) {
+        cache.put(fresh[i], std::move(values[i]));
+    });
+
+    // Hits over whatever is resident now, misses over keys never
+    // inserted; both in shuffled order.
+    std::vector<std::string> resident;
+    resident.reserve(r.entries);
+    for (std::size_t s = 0; s < cache.shard_count(); ++s) {
+        for (auto& [key, bytes] : cache.shard_snapshot(s)) {
+            resident.push_back(std::move(key));
+        }
+    }
+    std::mt19937_64 rng{42};
+    std::vector<std::size_t> order(ops);
+    for (std::size_t i = 0; i < ops; ++i) {
+        order[i] = rng() % resident.size();
+    }
+    std::size_t hits = 0;
+    r.get_hit_ns = ns_per_op(ops, [&](std::size_t i) {
+        hits += cache.get(resident[order[i]]) != nullptr ? 1 : 0;
+    });
+    std::vector<std::string> absent(ops);
+    for (std::size_t i = 0; i < ops; ++i) {
+        absent[i] = cache_key(10 * r.entries + ops + i);
+    }
+    std::shuffle(absent.begin(), absent.end(), rng);
+    std::size_t misses = 0;
+    r.get_miss_ns = ns_per_op(ops, [&](std::size_t i) {
+        misses += cache.get(absent[i]) == nullptr ? 1 : 0;
+    });
+    if (hits != ops || misses != ops) {
+        std::printf("FAIL: cache layer saw %zu/%zu hits, %zu/%zu misses\n",
+                    hits, ops, misses, ops);
+        std::exit(1);
+    }
+    return r;
+}
+
 }  // namespace
 
 int main() {
@@ -307,6 +406,17 @@ int main() {
                 static_cast<std::size_t>(on_engine.arena_bytes()),
                 identical ? "byte-identical" : "DIFFER");
 
+    // --- Pass set 3: the cache layer ------------------------------------
+    const cache_layer_result layer = measure_cache_layer(tiny ? 4096 : 65536);
+    std::printf("cache layer (%zu entries / %zu shards, %.0f-byte keys, "
+                "%zu-byte values)\n",
+                layer.entries, layer.shards, layer.key_bytes,
+                layer.value_bytes);
+    std::printf("  %-22s %12.1f ns\n", "get hit", layer.get_hit_ns);
+    std::printf("  %-22s %12.1f ns\n", "get miss", layer.get_miss_ns);
+    std::printf("  %-22s %12.1f ns\n", "put with eviction",
+                layer.put_evict_ns);
+
     // --- Machine-readable results --------------------------------------
     json::object doc;
     doc.set("bench", json::value{std::string{"bench_serve_throughput"}});
@@ -335,6 +445,17 @@ int main() {
     cold.set("arena_bytes",
              json::value{static_cast<double>(on_engine.arena_bytes())});
     doc.set("cold_batch_ablation", json::value{std::move(cold)});
+    json::object cache_layer;
+    cache_layer.set("entries", json::value{static_cast<double>(layer.entries)});
+    cache_layer.set("shards", json::value{static_cast<double>(layer.shards)});
+    cache_layer.set("ops", json::value{static_cast<double>(layer.ops)});
+    cache_layer.set("key_bytes", json::value{layer.key_bytes});
+    cache_layer.set("value_bytes",
+                    json::value{static_cast<double>(layer.value_bytes)});
+    cache_layer.set("get_hit_ns", json::value{layer.get_hit_ns});
+    cache_layer.set("get_miss_ns", json::value{layer.get_miss_ns});
+    cache_layer.set("put_evict_ns", json::value{layer.put_evict_ns});
+    doc.set("cache_layer", json::value{std::move(cache_layer)});
 
     bool gate_pass = identical && cache.hits >= kRequests;
     if (!tiny) {

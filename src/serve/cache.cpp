@@ -1,31 +1,214 @@
 #include "serve/cache.hpp"
 
+#include <cstring>
 #include <functional>
-#include <list>
 #include <mutex>
-#include <unordered_map>
+#include <new>
 #include <utility>
 
 namespace silicon::serve {
 
-struct memo_cache::shard {
-    using entry = std::pair<std::string, std::shared_ptr<const std::string>>;
-
-    mutable std::mutex mutex;
-    std::list<entry> lru;  ///< front = most recently used
-    std::unordered_map<std::string_view, std::list<entry>::iterator> index;
-    std::uint64_t hits = 0;
-    std::uint64_t misses = 0;
-    std::uint64_t evictions = 0;
-};
-
 namespace {
 
-std::size_t shard_for(std::string_view key, std::size_t shard_count) {
-    return std::hash<std::string_view>{}(key) % shard_count;
+/// One cached key/value pair.  It lives inside the control block of its
+/// owning shared_ptr, with the key bytes appended after that block (see
+/// trailing_allocator), so an entry is exactly one heap allocation.
+struct entry {
+    entry* prev = nullptr;  ///< toward the MRU end (null at the head)
+    entry* next = nullptr;  ///< toward the LRU end (null at the tail)
+    std::uint64_t hash;
+    const char* key_data = nullptr;  ///< the block's trailing bytes
+    std::size_t key_size = 0;
+    std::string value;  ///< never mutated once published
+
+    entry(std::uint64_t h, std::string v) : hash{h}, value{std::move(v)} {}
+
+    [[nodiscard]] std::string_view key() const noexcept {
+        return {key_data, key_size};
+    }
+};
+
+/// Allocator that appends `extra` raw bytes to the object it allocates
+/// and reports their address through `tail`.  std::allocate_shared
+/// rebinds it to its control-block type and allocates exactly one of
+/// those, so the key bytes land in the same block as the entry.
+template <class T>
+struct trailing_allocator {
+    using value_type = T;
+
+    std::size_t extra;
+    char** tail;
+
+    trailing_allocator(std::size_t e, char** t) noexcept : extra{e}, tail{t} {}
+    template <class U>
+    trailing_allocator(const trailing_allocator<U>& other) noexcept
+        : extra{other.extra}, tail{other.tail} {}
+
+    T* allocate(std::size_t n) {
+        const std::size_t head = n * sizeof(T);
+        char* p = static_cast<char*>(::operator new(head + extra));
+        *tail = p + head;
+        return reinterpret_cast<T*>(p);
+    }
+    void deallocate(T* p, std::size_t n) noexcept {
+        ::operator delete(p, n * sizeof(T) + extra);
+    }
+
+    template <class U>
+    bool operator==(const trailing_allocator<U>& other) const noexcept {
+        return extra == other.extra;
+    }
+};
+
+/// One index slot.  The slot's pointer is the cache's own reference to
+/// the entry; an empty slot has no owner.
+struct slot {
+    std::uint64_t hash = 0;
+    std::shared_ptr<entry> owner;
+};
+
+constexpr std::size_t npos = static_cast<std::size_t>(-1);
+constexpr std::size_t min_slots = 16;
+
+std::uint64_t hash_of(std::string_view key) noexcept {
+    return std::hash<std::string_view>{}(key);
+}
+
+/// The high 32 hash bits scaled onto [0, shard_count): independent of
+/// the low bits that pick the home slot inside the shard.
+std::size_t shard_index(std::uint64_t h, std::size_t shard_count) noexcept {
+    return static_cast<std::size_t>(((h >> 32) * shard_count) >> 32);
 }
 
 }  // namespace
+
+struct alignas(64) memo_cache::shard {
+    mutable std::mutex mutex;
+    std::unique_ptr<slot[]> slots;  ///< power-of-two count, or none
+    std::size_t mask = 0;           ///< slot count - 1
+    std::size_t size = 0;
+    entry* mru = nullptr;
+    entry* lru = nullptr;
+    std::uint64_t hits = 0;
+    std::uint64_t misses = 0;
+    std::uint64_t evictions = 0;
+
+    /// Slot holding `key`, or npos.  Key bytes are read only when the
+    /// stored hash matches.
+    [[nodiscard]] std::size_t find(std::uint64_t h,
+                                   std::string_view key) const noexcept {
+        if (!slots) {
+            return npos;
+        }
+        for (std::size_t i = h & mask;; i = (i + 1) & mask) {
+            const slot& s = slots[i];
+            if (!s.owner) {
+                return npos;
+            }
+            if (s.hash == h && s.owner->key() == key) {
+                return i;
+            }
+        }
+    }
+
+    /// Slot holding the resident entry `e` (pointer compare only).
+    [[nodiscard]] std::size_t locate(const entry* e) const noexcept {
+        for (std::size_t i = e->hash & mask;; i = (i + 1) & mask) {
+            if (slots[i].owner.get() == e) {
+                return i;
+            }
+        }
+    }
+
+    /// Empty slot `i` by backward shift (no tombstones) and hand back
+    /// the reference it held.
+    std::shared_ptr<entry> erase_slot(std::size_t i) noexcept {
+        std::shared_ptr<entry> out = std::move(slots[i].owner);
+        std::size_t hole = i;
+        for (std::size_t j = (i + 1) & mask; slots[j].owner;
+             j = (j + 1) & mask) {
+            // Slot j may fill the hole iff the hole lies on its probe
+            // path, i.e. is no closer to j than j's home slot.
+            const std::size_t home = slots[j].hash & mask;
+            if (((j - home) & mask) >= ((j - hole) & mask)) {
+                slots[hole] = std::move(slots[j]);
+                hole = j;
+            }
+        }
+        --size;
+        return out;
+    }
+
+    /// Place a key known to be absent; grows the table first when the
+    /// insertion would push the load factor past 3/4.
+    void insert(std::uint64_t h, std::shared_ptr<entry> e) {
+        if (!slots || (size + 1) * 4 > (mask + 1) * 3) {
+            rehash(slots ? (mask + 1) * 2 : min_slots);
+        }
+        std::size_t i = h & mask;
+        while (slots[i].owner) {
+            i = (i + 1) & mask;
+        }
+        slots[i].hash = h;
+        slots[i].owner = std::move(e);
+        ++size;
+    }
+
+    void rehash(std::size_t count) {
+        std::unique_ptr<slot[]> old = std::move(slots);
+        const std::size_t old_count = old ? mask + 1 : 0;
+        slots = std::make_unique<slot[]>(count);
+        mask = count - 1;
+        for (std::size_t j = 0; j < old_count; ++j) {
+            if (old[j].owner) {
+                std::size_t i = old[j].hash & mask;
+                while (slots[i].owner) {
+                    i = (i + 1) & mask;
+                }
+                slots[i] = std::move(old[j]);
+            }
+        }
+    }
+
+    void link_front(entry* e) noexcept {
+        e->prev = nullptr;
+        e->next = mru;
+        (mru != nullptr ? mru->prev : lru) = e;
+        mru = e;
+    }
+
+    void unlink(entry* e) noexcept {
+        (e->prev != nullptr ? e->prev->next : mru) = e->next;
+        (e->next != nullptr ? e->next->prev : lru) = e->prev;
+    }
+
+    /// A hit: count it, promote to MRU, hand out an aliasing handle to
+    /// the value.  Null on a miss (not counted here).
+    std::shared_ptr<const std::string> hit(std::uint64_t h,
+                                           std::string_view key) {
+        const std::size_t i = find(h, key);
+        if (i == npos) {
+            return nullptr;
+        }
+        ++hits;
+        const std::shared_ptr<entry>& owner = slots[i].owner;
+        if (owner.get() != mru) {
+            unlink(owner.get());
+            link_front(owner.get());
+        }
+        return {owner, &owner->value};
+    }
+
+    /// Detach every entry; the caller destroys the returned table
+    /// outside the lock.  Handles readers hold stay valid.
+    std::unique_ptr<slot[]> release() noexcept {
+        size = 0;
+        mask = 0;
+        mru = nullptr;
+        lru = nullptr;
+        return std::move(slots);
+    }
+};
 
 memo_cache::memo_cache(std::size_t capacity, std::size_t shards)
     : capacity_{capacity} {
@@ -37,82 +220,93 @@ memo_cache::memo_cache(std::size_t capacity, std::size_t shards)
         shard_count_ = capacity_;
     }
     per_shard_capacity_ = (capacity_ + shard_count_ - 1) / shard_count_;
-    shards_ = new shard[shard_count_];
+    shards_ = std::make_unique<shard[]>(shard_count_);
 }
 
-memo_cache::~memo_cache() { delete[] shards_; }
+memo_cache::~memo_cache() = default;
+
+std::size_t memo_cache::shard_of(std::string_view key) const noexcept {
+    return shard_index(hash_of(key), shard_count_);
+}
 
 std::shared_ptr<const std::string> memo_cache::get(std::string_view key) {
-    if (shards_ == nullptr) {
+    if (!shards_) {
         disabled_misses_.fetch_add(1, std::memory_order_relaxed);
         return nullptr;
     }
-    shard& s = shards_[shard_for(key, shard_count_)];
+    const std::uint64_t h = hash_of(key);
+    shard& s = shards_[shard_index(h, shard_count_)];
     const std::lock_guard<std::mutex> lock(s.mutex);
-    const auto it = s.index.find(key);
-    if (it == s.index.end()) {
+    auto found = s.hit(h, key);
+    if (found == nullptr) {
         ++s.misses;
-        return nullptr;
     }
-    ++s.hits;
-    s.lru.splice(s.lru.begin(), s.lru, it->second);
-    return it->second->second;
+    return found;
 }
 
 std::shared_ptr<const std::string> memo_cache::get_if_present(
     std::string_view key) {
-    if (shards_ == nullptr) {
+    if (!shards_) {
         return nullptr;
     }
-    shard& s = shards_[shard_for(key, shard_count_)];
+    const std::uint64_t h = hash_of(key);
+    shard& s = shards_[shard_index(h, shard_count_)];
     const std::lock_guard<std::mutex> lock(s.mutex);
-    const auto it = s.index.find(key);
-    if (it == s.index.end()) {
-        return nullptr;
-    }
-    ++s.hits;
-    s.lru.splice(s.lru.begin(), s.lru, it->second);
-    return it->second->second;
+    return s.hit(h, key);
 }
 
 void memo_cache::put(std::string_view key, std::string value) {
-    if (shards_ == nullptr) {
+    if (!shards_) {
         return;
     }
-    shard& s = shards_[shard_for(key, shard_count_)];
-    auto stored = std::make_shared<const std::string>(std::move(value));
+    const std::uint64_t h = hash_of(key);
+    shard& s = shards_[shard_index(h, shard_count_)];
+
+    // Build the whole entry before taking the lock: one allocation.
+    char* tail = nullptr;
+    auto fresh = std::allocate_shared<entry>(
+        trailing_allocator<entry>{key.size(), &tail}, h, std::move(value));
+    if (!key.empty()) {
+        std::memcpy(tail, key.data(), key.size());
+    }
+    fresh->key_data = tail;
+    fresh->key_size = key.size();
+    entry* e = fresh.get();
+
+    // Declared before the lock so a displaced entry is destroyed (when
+    // no reader holds it) after the lock is released.
+    std::shared_ptr<entry> displaced;
     const std::lock_guard<std::mutex> lock(s.mutex);
-    if (const auto it = s.index.find(key); it != s.index.end()) {
-        it->second->second = std::move(stored);
-        s.lru.splice(s.lru.begin(), s.lru, it->second);
+    if (const std::size_t i = s.find(h, key); i != npos) {
+        // Refresh: the new block takes the old one's slot and goes to
+        // MRU; readers of the old value keep the old block.
+        s.unlink(s.slots[i].owner.get());
+        displaced = std::exchange(s.slots[i].owner, std::move(fresh));
+        s.link_front(e);
         return;
     }
-    if (s.lru.size() >= per_shard_capacity_) {
-        // The index keys view into the list node's string, so erase the
-        // index entry before destroying the node.
-        s.index.erase(s.lru.back().first);
-        s.lru.pop_back();
+    if (s.size >= per_shard_capacity_) {
+        entry* victim = s.lru;
+        s.unlink(victim);
+        displaced = s.erase_slot(s.locate(victim));
         ++s.evictions;
     }
-    s.lru.emplace_front(std::string{key}, std::move(stored));
-    s.index.emplace(s.lru.front().first, s.lru.begin());
+    s.insert(h, std::move(fresh));
+    s.link_front(e);
 }
 
 std::size_t memo_cache::shed_shards(std::size_t count) {
-    if (shards_ == nullptr) {
-        return 0;
-    }
     if (count > shard_count_) {
         count = shard_count_;
     }
     std::size_t dropped = 0;
     for (std::size_t i = 0; i < count; ++i) {
         shard& s = shards_[i];
+        std::unique_ptr<slot[]> table;  // freed after the lock drops
         const std::lock_guard<std::mutex> lock(s.mutex);
-        dropped += s.lru.size();
-        s.evictions += s.lru.size();
-        s.index.clear();
-        s.lru.clear();
+        dropped += s.size;
+        s.evictions += s.size;
+        table = s.release();
     }
     return dropped;
 }
@@ -120,9 +314,9 @@ std::size_t memo_cache::shed_shards(std::size_t count) {
 void memo_cache::clear() {
     for (std::size_t i = 0; i < shard_count_; ++i) {
         shard& s = shards_[i];
+        std::unique_ptr<slot[]> table;  // freed after the lock drops
         const std::lock_guard<std::mutex> lock(s.mutex);
-        s.index.clear();
-        s.lru.clear();
+        table = s.release();
     }
 }
 
@@ -130,14 +324,17 @@ std::vector<std::pair<std::string, std::shared_ptr<const std::string>>>
 memo_cache::shard_snapshot(std::size_t index) const {
     std::vector<std::pair<std::string, std::shared_ptr<const std::string>>>
         out;
-    if (shards_ == nullptr || index >= shard_count_) {
+    if (index >= shard_count_) {
         return out;
     }
     const shard& s = shards_[index];
     const std::lock_guard<std::mutex> lock(s.mutex);
-    out.reserve(s.lru.size());
-    for (auto it = s.lru.rbegin(); it != s.lru.rend(); ++it) {
-        out.emplace_back(it->first, it->second);
+    out.reserve(s.size);
+    for (const entry* e = s.lru; e != nullptr; e = e->prev) {
+        const std::shared_ptr<entry>& owner = s.slots[s.locate(e)].owner;
+        out.emplace_back(std::string{e->key()},
+                         std::shared_ptr<const std::string>{owner,
+                                                            &owner->value});
     }
     return out;
 }
@@ -154,8 +351,8 @@ memo_cache::stats memo_cache::snapshot() const {
         out.hits += s.hits;
         out.misses += s.misses;
         out.evictions += s.evictions;
-        out.entries += s.lru.size();
-        out.shard_entries.push_back(s.lru.size());
+        out.entries += s.size;
+        out.shard_entries.push_back(s.size);
     }
     return out;
 }

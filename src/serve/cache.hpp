@@ -9,11 +9,33 @@
 // produce, so cache hits can never change a response, only its
 // latency.
 //
-// Concurrency: the key space is split across `shards` independent
-// LRU structures (shard = hash(key) % shards), each behind its own
-// mutex, so parallel batch workers rarely contend.  Values are
-// returned as shared_ptr<const string> — a hit stays valid even if the
-// entry is evicted a microsecond later by another thread.
+// Layout.  The key space is split across `shards` independent LRU
+// structures, each behind its own mutex, so parallel batch workers
+// rarely contend.  A key's 64-bit hash picks its shard from the high
+// bits and its home index slot from the low bits.
+//
+//   * Entry block.  Every entry is ONE heap block, made by
+//     std::allocate_shared with a trailing-storage allocator: the
+//     shared_ptr control block, the intrusive LRU links, the hash, the
+//     `std::string` value and, appended after them, the key bytes.  A
+//     put of a new key therefore allocates the block and nothing else
+//     (the value string is moved in).
+//   * Index.  Each shard owns an open-addressing table of
+//     (hash, owning pointer) slots — linear probing, backward-shift
+//     deletion, load factor <= 3/4, grown by doubling up to the size
+//     the shard's budget needs.  A probe compares stored hashes and
+//     reads key bytes only on a hash match, so a miss stays in the slot
+//     array unless two keys share all 64 hash bits.
+//   * LRU.  Exact per shard, through `prev`/`next` links inside the
+//     entries (MRU at the head); a hit relinks, eviction takes the tail.
+//
+// Handle lifetime.  A hit returns an *aliasing* shared_ptr to the
+// value inside the entry block — one refcount increment, no
+// allocation.  The index slot holds the cache's own reference; evicting,
+// shedding, clearing or refreshing an entry only drops that reference,
+// so a handle a reader still holds keeps its block (and the bytes) alive
+// until the reader lets go.  A stored value is never mutated: a refresh
+// installs a new block.
 //
 // Capacity is interpreted as a total entry budget distributed evenly
 // across shards (per-shard ceil(capacity/shards), so the effective
@@ -63,11 +85,10 @@ public:
     [[nodiscard]] std::shared_ptr<const std::string> get(
         std::string_view key);
 
-    /// Speculative probe used by the engine's hot path: behaves like
-    /// `get` on a hit (counts it, promotes to MRU) but does NOT count a
-    /// miss — the hot path falls back to the legacy pipeline whose `get`
-    /// records the single authoritative miss, keeping hit/miss stats
-    /// identical whether or not the fast path is enabled.
+    /// Speculative probe used by the engine's hot path and sweep
+    /// planning: behaves like `get` on a hit (counts it, promotes to
+    /// MRU) but does NOT count a miss — the path that then evaluates
+    /// records the single authoritative miss with `get`.
     [[nodiscard]] std::shared_ptr<const std::string> get_if_present(
         std::string_view key);
 
@@ -92,6 +113,10 @@ public:
         return shard_count_;
     }
 
+    /// The shard `key` lives in (0 when the cache is disabled) — the
+    /// index shard_snapshot and shed_shards address.
+    [[nodiscard]] std::size_t shard_of(std::string_view key) const noexcept;
+
     /// Copy of shard `index`'s resident entries in least- to
     /// most-recently-used order, so replaying them through put()
     /// reproduces the recency order.  Values are shared, not copied.
@@ -104,7 +129,7 @@ public:
 
 private:
     struct shard;
-    shard* shards_ = nullptr;
+    std::unique_ptr<shard[]> shards_;
     std::size_t shard_count_ = 0;
     std::size_t capacity_ = 0;
     std::size_t per_shard_capacity_ = 0;

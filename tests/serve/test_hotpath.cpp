@@ -17,6 +17,7 @@
 
 #include "exec/arena.hpp"
 #include "request_corpus.hpp"
+#include "serve/cache.hpp"
 #include "serve/engine.hpp"
 #include "serve/json.hpp"
 #include "serve/json_arena.hpp"
@@ -34,13 +35,23 @@
 
 // ---------------------------------------------------------------------------
 // Counting allocator: every global allocation bumps a thread-local
-// counter.  Deallocation is deliberately not counted (returning memory
-// is allowed on the hot path; taking it is not).
+// counter.  The zero-allocation gates read only that one (returning
+// memory is allowed on the hot path; taking it is not); deallocations
+// are counted separately so the cache gate can check that evicting puts
+// hold the number of live blocks flat.
 // ---------------------------------------------------------------------------
 
 namespace {
 
 thread_local std::uint64_t t_allocations = 0;
+thread_local std::uint64_t t_frees = 0;
+
+void counted_free(void* p) noexcept {
+    if (p != nullptr) {
+        ++t_frees;
+        std::free(p);
+    }
+}
 
 void* counted_alloc(std::size_t n) {
     ++t_allocations;
@@ -80,23 +91,25 @@ void* operator new[](std::size_t n, std::align_val_t al) {
     return counted_aligned_alloc(n, static_cast<std::size_t>(al));
 }
 
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p) noexcept { counted_free(p); }
+void operator delete[](void* p) noexcept { counted_free(p); }
+void operator delete(void* p, std::size_t) noexcept { counted_free(p); }
+void operator delete[](void* p, std::size_t) noexcept { counted_free(p); }
 void operator delete(void* p, const std::nothrow_t&) noexcept {
-    std::free(p);
+    counted_free(p);
 }
 void operator delete[](void* p, const std::nothrow_t&) noexcept {
-    std::free(p);
+    counted_free(p);
 }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete(void* p, std::align_val_t) noexcept { counted_free(p); }
+void operator delete[](void* p, std::align_val_t) noexcept {
+    counted_free(p);
+}
 void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-    std::free(p);
+    counted_free(p);
 }
 void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-    std::free(p);
+    counted_free(p);
 }
 
 namespace {
@@ -172,6 +185,76 @@ serve::engine_config reference_config() {
 
 bool is_stats(const std::string& line) {
     return line.find("\"stats\"") != std::string::npos;
+}
+
+// ---------------------------------------------------------------------------
+// The cache's allocation gate: one block per entry.
+// ---------------------------------------------------------------------------
+
+/// A ~120-byte canonical-looking key (well past the small-string
+/// buffer), written into `out` without allocating once it has grown.
+void lane_key_into(std::size_t i, std::string& out) {
+    out.assign(R"({"c0_usd":1000,"design_density":1,"lambda_um":)");
+    out.append(std::to_string(i));  // SSO: no allocation
+    out.append(R"(,"op":"scenario1","wafer_radius_cm":7.5,"x":1.5,"pad":"...."})");
+}
+
+/// Fill a 64-entry cache past its budget, so every further new key
+/// evicts.
+void fill_to_eviction(serve::memo_cache& cache, std::string& key) {
+    for (std::size_t i = 0; i < 256; ++i) {
+        lane_key_into(i, key);
+        cache.put(key, std::string(200, 'v'));
+    }
+    ASSERT_GT(cache.snapshot().evictions, 0u);
+}
+
+TEST(CacheAllocations, EvictingPutAllocatesAtMostTwice) {
+    serve::memo_cache cache{64, 4};
+    std::string key;
+    key.reserve(256);
+    fill_to_eviction(cache, key);
+    for (std::size_t i = 1000; i < 1100; ++i) {
+        lane_key_into(i, key);
+        std::string value(200, 'w');  // built before counting: moved in
+        const std::uint64_t before = t_allocations;
+        cache.put(key, std::move(value));
+        EXPECT_LE(t_allocations - before, 2u) << "put " << i;
+    }
+}
+
+TEST(CacheAllocations, EvictingPutsKeepLiveAllocationsFlat) {
+    serve::memo_cache cache{64, 4};
+    std::string key;
+    key.reserve(256);
+    fill_to_eviction(cache, key);
+    const std::uint64_t allocations = t_allocations;
+    const std::uint64_t frees = t_frees;
+    for (std::size_t i = 0; i < 10000; ++i) {
+        lane_key_into(100000 + i, key);
+        cache.put(key, std::string(200, 'w'));  // value + block
+    }
+    const std::uint64_t taken = t_allocations - allocations;
+    const std::uint64_t returned = t_frees - frees;
+    // Each put takes the value string and the entry block and its
+    // eviction returns the victim's two: live blocks stay flat.
+    EXPECT_EQ(taken, returned);
+    EXPECT_LE(taken, 2u * 10000u);
+    EXPECT_EQ(cache.snapshot().entries, 64u);
+}
+
+TEST(CacheAllocations, WarmGetAllocatesNothing) {
+    serve::memo_cache cache{64, 4};
+    std::string key;
+    key.reserve(256);
+    fill_to_eviction(cache, key);
+    lane_key_into(255, key);  // the most recent fill key: resident
+    const std::uint64_t before = t_allocations;
+    for (int i = 0; i < 100; ++i) {
+        const auto hit = cache.get(key);
+        ASSERT_NE(hit, nullptr);
+    }
+    EXPECT_EQ(t_allocations - before, 0u);
 }
 
 // ---------------------------------------------------------------------------

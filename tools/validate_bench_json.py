@@ -42,6 +42,7 @@ def check_serve(doc, path):
     errors = 0
     errors += require(doc, path, "memoization", dict)
     errors += require(doc, path, "cold_batch_ablation", dict)
+    errors += require(doc, path, "cache_layer", dict)
     if errors:
         return errors
     for key in ("serial_cold_req_per_s", "cache_warm_req_per_s",
@@ -54,6 +55,13 @@ def check_serve(doc, path):
     errors += require(cold, path, "responses_identical", bool)
     if cold.get("responses_identical") is False:
         errors += fail(path, "ablation responses were not byte-identical")
+    layer = doc["cache_layer"]
+    for key in ("entries", "shards", "ops", "key_bytes", "value_bytes",
+                "get_hit_ns", "get_miss_ns", "put_evict_ns"):
+        errors += require(layer, path, key, (int, float))
+    for key in ("get_hit_ns", "get_miss_ns", "put_evict_ns"):
+        if isinstance(layer.get(key), (int, float)) and layer[key] <= 0:
+            errors += fail(path, f"cache_layer {key} must be positive")
     return errors
 
 
