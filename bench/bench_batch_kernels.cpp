@@ -5,14 +5,13 @@
 //
 // Two scalar baselines are measured for every kernel:
 //
-//   engine per-point  - the generic sweep path the kernels replaced
-//                       (engine::eval_sweep keeps it for targets no
-//                       kernel covers): per grid point, clone the
-//                       target JSON doc, poke the swept member,
-//                       re-canonicalize through parse_request, evaluate,
-//                       dump the result, and re-parse it to extract the
-//                       primary metric.  This is the gated comparison
-//                       (>= 4x).
+//   engine per-point  - the per-point sweep path the kernels replaced:
+//                       per grid point, clone the target JSON doc,
+//                       poke the swept member, re-canonicalize through
+//                       parse_request, write the result with
+//                       engine::evaluate_into, and re-parse it to
+//                       extract the primary metric.  This is the gated
+//                       comparison (>= 4x).
 //   library scalar    - the scalar model API called per lane (model
 //                       construction + unit-typed evaluation).  Not
 //                       gated; reported for context, and used as the
@@ -451,10 +450,9 @@ int main() {
                 }
             });
 
-        // The replaced path, reproduced step for step from the generic
-        // eval_sweep loop: JSON clone -> member poke -> parse_request
-        // (canonicalization included) -> evaluate -> dump -> re-parse ->
-        // metric extraction.
+        // The per-point path a naive sweep would take, step for step:
+        // JSON clone -> member poke -> parse_request (canonicalization
+        // included) -> evaluate_into -> re-parse -> metric extraction.
         const json::value target_doc = json::parse(c.target_line);
         const std::vector<double> exs = make_grid(engine_lanes);
         std::vector<double> eout(exs.size());
@@ -463,7 +461,8 @@ int main() {
                 json::value doc = target_doc;
                 doc.as_object().set(c.param, json::value{exs[i]});
                 const serve::request point = serve::parse_request(doc);
-                const std::string result = json::dump(engine.evaluate(point));
+                std::string result;
+                engine.evaluate_into(point, result);
                 const json::value parsed = json::parse(result);
                 eout[i] = parsed.as_object()
                               .find(serve::primary_metric(point.op))

@@ -134,7 +134,7 @@ int main(int argc, char** argv) {
 
     // The per-point path a naive explore would take: the generic sweep
     // shape over the `chiplet` endpoint, step for step (JSON clone ->
-    // member poke -> parse_request -> evaluate -> dump -> re-parse ->
+    // member poke -> parse_request -> evaluate_into -> re-parse ->
     // metric extraction).
     serve::engine_config config;
     config.parallelism = 1;
@@ -149,7 +149,8 @@ int main(int argc, char** argv) {
             json::value doc = target_doc;
             doc.as_object().set("logic_area_mm2", json::value{exs[i]});
             const serve::request point = serve::parse_request(doc);
-            const std::string result = json::dump(engine.evaluate(point));
+            std::string result;
+            engine.evaluate_into(point, result);
             const json::value parsed = json::parse(result);
             eout[i] = parsed.as_object()
                           .find(serve::primary_metric(point.op))

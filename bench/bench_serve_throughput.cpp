@@ -142,7 +142,7 @@ std::vector<std::string> make_batch_workload(std::size_t n,
 /// The naive per-point pipeline the engine is measured against — the
 /// serving path without the batch machinery, built from public API:
 /// per line json::parse -> parse_request -> memo-cache probe ->
-/// evaluate -> json::dump -> cache put -> envelope.  A sweep expands
+/// evaluate_into -> cache put -> envelope.  A sweep expands
 /// point by point on the engine's grid, each point taking the same
 /// path and its metric read back from the dumped result (null where
 /// the point errors).  No dedup, no kernels, no parse reuse; like the
@@ -168,10 +168,13 @@ private:
         if (const auto hit = cache_.get(req.canonical_key)) {
             return *hit;
         }
-        std::string bytes = json::dump(
-            req.op == serve::op_code::sweep
-                ? sweep(std::get<serve::sweep_request>(req.payload))
-                : evaluator_.evaluate(req));
+        std::string bytes;
+        if (req.op == serve::op_code::sweep) {
+            bytes = json::dump(
+                sweep(std::get<serve::sweep_request>(req.payload)));
+        } else {
+            evaluator_.evaluate_into(req, bytes);
+        }
         cache_.put(req.canonical_key, bytes);
         return bytes;
     }

@@ -24,7 +24,6 @@
 #include <charconv>
 #include <chrono>
 #include <cmath>
-#include <cstring>
 #include <exception>
 #include <limits>
 #include <stdexcept>
@@ -36,11 +35,65 @@ namespace silicon::serve {
 namespace {
 
 // ---------------------------------------------------------------------------
-// Endpoint evaluators: typed request -> result JSON.  Each routes into
-// the library exactly as a direct caller would; invalid/infeasible
-// inputs surface as the library's own exceptions and become error
-// responses upstream.
+// Endpoint writers: typed request -> result body.  Each routes into the
+// library exactly as a direct caller would, appends the result object
+// to `out` with the JSON writer's own number and string formatting, and
+// returns the endpoint's primary metric (NaN when it has none).
+// Invalid or infeasible inputs surface as the library's own exceptions
+// and become error responses upstream.  Once `out` has grown, the
+// closed-form writers allocate nothing.
 // ---------------------------------------------------------------------------
+
+constexpr double no_metric = std::numeric_limits<double>::quiet_NaN();
+
+/// `[v0,v1,...]`; non-finite entries (NaN lanes) print as null.
+void numbers_into(const std::vector<double>& v, std::string& out) {
+    out += '[';
+    for (std::size_t i = 0; i < v.size(); ++i) {
+        if (i != 0) {
+            out += ',';
+        }
+        json::format_number_into(v[i], out);
+    }
+    out += ']';
+}
+
+/// Appends one JSON object member by member, in call order — the bytes
+/// json::dump writes for the same members.  Keys are literal
+/// identifiers, so they need no escaping.
+class object_writer {
+public:
+    explicit object_writer(std::string& out) : out_{out} {}
+
+    /// Opens member `k`; the caller appends its value.
+    std::string& key(std::string_view k) {
+        out_ += first_ ? '{' : ',';
+        first_ = false;
+        out_ += '"';
+        out_ += k;
+        out_ += "\":";
+        return out_;
+    }
+    void number(std::string_view k, double v) {
+        json::format_number_into(v, key(k));
+    }
+    void text(std::string_view k, std::string_view s) {
+        json::write_string_into(key(k), s);
+    }
+    void numbers(std::string_view k, const std::vector<double>& v) {
+        numbers_into(v, key(k));
+    }
+    void close() {
+        if (first_) {
+            out_ += '{';
+        }
+        out_ += '}';
+    }
+
+private:
+    std::string& out_;
+    bool first_ = true;
+};
 
 /// The parser validated the name, so the throw is unreachable.  Matches
 /// literals (geometry::to_string builds strings) so the closed-form
@@ -85,7 +138,7 @@ core::process_spec build_process(const process_params& p) {
     };
 }
 
-json::value eval_cost_tr(const cost_tr_request& q) {
+double cost_tr_into(const cost_tr_request& q, std::string& out) {
     const core::cost_model model{build_process(q.process)};
 
     core::product_spec product;
@@ -101,152 +154,159 @@ json::value eval_cost_tr(const cost_tr_request& q) {
 
     const core::cost_breakdown b = model.evaluate(product, economics);
 
-    json::object o;
-    o.set("product", b.product_name);
-    o.set("feature_size_um", b.feature_size.value());
-    o.set("die_area_mm2", b.die_area.value());
-    o.set("gross_dies_per_wafer", static_cast<double>(b.gross_dies_per_wafer));
-    o.set("yield", b.yield.value());
-    o.set("good_dies_per_wafer", b.good_dies_per_wafer);
-    o.set("wafer_cost_usd", b.wafer_cost.value());
-    o.set("cost_per_good_die_usd", b.cost_per_good_die.value());
-    o.set("cost_per_transistor_usd", b.cost_per_transistor.value());
-    o.set("cost_per_transistor_micro_usd",
-          b.cost_per_transistor_micro_dollars());
-    return json::value{std::move(o)};
+    object_writer w{out};
+    w.text("product", b.product_name);
+    w.number("feature_size_um", b.feature_size.value());
+    w.number("die_area_mm2", b.die_area.value());
+    w.number("gross_dies_per_wafer",
+             static_cast<double>(b.gross_dies_per_wafer));
+    w.number("yield", b.yield.value());
+    w.number("good_dies_per_wafer", b.good_dies_per_wafer);
+    w.number("wafer_cost_usd", b.wafer_cost.value());
+    w.number("cost_per_good_die_usd", b.cost_per_good_die.value());
+    w.number("cost_per_transistor_usd", b.cost_per_transistor.value());
+    w.number("cost_per_transistor_micro_usd",
+             b.cost_per_transistor_micro_dollars());
+    w.close();
+    return b.cost_per_transistor.value();
 }
 
-json::value eval_gross_die(const gross_die_request& q) {
-    const geometry::wafer w{centimeters{q.wafer_radius_cm},
-                            centimeters{q.edge_exclusion_cm}};
+double gross_die_into(const gross_die_request& q, std::string& out) {
+    const geometry::wafer wafer{centimeters{q.wafer_radius_cm},
+                                centimeters{q.edge_exclusion_cm}};
     const geometry::die d{millimeters{q.die_width_mm},
                           millimeters{q.die_height_mm}};
-    const long count = geometry::gross_dies(w, d, method_from_name(q.method),
-                                            millimeters{q.scribe_mm});
-    json::object o;
-    o.set("count", static_cast<double>(count));
-    o.set("method", q.method);
-    o.set("die_area_mm2", d.area().value());
-    o.set("wafer_area_cm2", w.area().value());
-    return json::value{std::move(o)};
+    const auto count = static_cast<double>(geometry::gross_dies(
+        wafer, d, method_from_name(q.method), millimeters{q.scribe_mm}));
+    object_writer w{out};
+    w.number("count", count);
+    w.text("method", q.method);
+    w.number("die_area_mm2", d.area().value());
+    w.number("wafer_area_cm2", wafer.area().value());
+    w.close();
+    return count;
 }
 
-json::value eval_yield(const yield_request& q) {
-    json::object o;
-    o.set("model", q.model);
-
+double yield_into(const yield_request& q, std::string& out) {
+    object_writer w{out};
+    w.text("model", q.model);
+    double y = 0.0;
     if (q.model == "scaled_poisson") {
         const yield::scaled_poisson_model model{q.d, q.p};
-        o.set("yield", model.yield(square_centimeters{q.die_area_cm2},
-                                   microns{q.lambda_um})
-                           .value());
-        o.set("effective_defects_per_cm2",
-              model.effective_defect_density(microns{q.lambda_um}));
-        return json::value{std::move(o)};
-    }
-    if (q.model == "reference") {
+        y = model.yield(square_centimeters{q.die_area_cm2},
+                        microns{q.lambda_um})
+                .value();
+        w.number("yield", y);
+        w.number("effective_defects_per_cm2",
+                 model.effective_defect_density(microns{q.lambda_um}));
+    } else if (q.model == "reference") {
         const yield::reference_die_yield model{probability{q.y0},
                                                square_centimeters{q.a0_cm2}};
-        o.set("yield",
-              model.yield(square_centimeters{q.die_area_cm2}).value());
-        o.set("equivalent_defects_per_cm2",
-              model.equivalent_defect_density());
-        return json::value{std::move(o)};
-    }
-
-    const double faults = q.expected_faults >= 0.0
-                              ? q.expected_faults
-                              : q.die_area_cm2 * q.defects_per_cm2;
-    if (!(faults >= 0.0) || !std::isfinite(faults)) {
-        throw request_error("bad_param",
-                            "yield: expected fault count must be finite "
-                            "and non-negative");
-    }
-    probability y{0.0};
-    if (q.model == "poisson") {
-        y = yield::poisson_model{}.yield(faults);
-    } else if (q.model == "murphy") {
-        y = yield::murphy_model{}.yield(faults);
-    } else if (q.model == "seeds") {
-        y = yield::seeds_model{}.yield(faults);
-    } else if (q.model == "bose_einstein") {
-        y = yield::bose_einstein_model{q.critical_steps}.yield(faults);
-    } else if (q.model == "neg_binomial") {
-        y = yield::negative_binomial_model{q.alpha}.yield(faults);
+        y = model.yield(square_centimeters{q.die_area_cm2}).value();
+        w.number("yield", y);
+        w.number("equivalent_defects_per_cm2",
+                 model.equivalent_defect_density());
     } else {
-        throw request_error("bad_param",
-                            "yield: unknown model '" + q.model + "'");
+        const double faults = q.expected_faults >= 0.0
+                                  ? q.expected_faults
+                                  : q.die_area_cm2 * q.defects_per_cm2;
+        if (!(faults >= 0.0) || !std::isfinite(faults)) {
+            throw request_error("bad_param",
+                                "yield: expected fault count must be finite "
+                                "and non-negative");
+        }
+        if (q.model == "poisson") {
+            y = yield::poisson_model{}.yield(faults).value();
+        } else if (q.model == "murphy") {
+            y = yield::murphy_model{}.yield(faults).value();
+        } else if (q.model == "seeds") {
+            y = yield::seeds_model{}.yield(faults).value();
+        } else if (q.model == "bose_einstein") {
+            y = yield::bose_einstein_model{q.critical_steps}
+                    .yield(faults)
+                    .value();
+        } else if (q.model == "neg_binomial") {
+            y = yield::negative_binomial_model{q.alpha}.yield(faults).value();
+        } else {
+            throw request_error("bad_param",
+                                "yield: unknown model '" + q.model + "'");
+        }
+        w.number("expected_faults", faults);
+        w.number("yield", y);
     }
-    o.set("expected_faults", faults);
-    o.set("yield", y.value());
-    return json::value{std::move(o)};
+    w.close();
+    return y;
 }
 
-json::value eval_scenario1(const scenario1_request& q) {
+double scenario1_into(const scenario1_request& q, std::string& out) {
     core::scenario1 s;
     s.wafer_cost = cost::wafer_cost_model{dollars{q.c0_usd}, q.x};
     s.wafer = geometry::wafer{centimeters{q.wafer_radius_cm}};
     s.design_density = q.design_density;
-    const dollars ctr = s.cost_per_transistor(microns{q.lambda_um});
-
-    json::object o;
-    o.set("cost_per_transistor_usd", ctr.value());
-    o.set("cost_per_transistor_micro_usd", ctr.value() * 1e6);
-    return json::value{std::move(o)};
+    const double ctr = s.cost_per_transistor(microns{q.lambda_um}).value();
+    object_writer w{out};
+    w.number("cost_per_transistor_usd", ctr);
+    w.number("cost_per_transistor_micro_usd", ctr * 1e6);
+    w.close();
+    return ctr;
 }
 
-json::value eval_scenario2(const scenario2_request& q) {
+double scenario2_into(const scenario2_request& q, std::string& out) {
     core::scenario2 s;
     s.wafer_cost = cost::wafer_cost_model{dollars{q.c0_usd}, q.x};
     s.wafer = geometry::wafer{centimeters{q.wafer_radius_cm}};
     s.design_density = q.design_density;
     s.yield = yield::reference_die_yield{probability{q.y0}};
     const microns lambda{q.lambda_um};
-    const dollars ctr = s.cost_per_transistor(lambda);
-
-    json::object o;
-    o.set("cost_per_transistor_usd", ctr.value());
-    o.set("cost_per_transistor_micro_usd", ctr.value() * 1e6);
-    o.set("die_area_cm2", s.die_area(lambda).value());
-    o.set("transistors", s.transistors(lambda));
-    return json::value{std::move(o)};
+    const double ctr = s.cost_per_transistor(lambda).value();
+    object_writer w{out};
+    w.number("cost_per_transistor_usd", ctr);
+    w.number("cost_per_transistor_micro_usd", ctr * 1e6);
+    w.number("die_area_cm2", s.die_area(lambda).value());
+    w.number("transistors", s.transistors(lambda));
+    w.close();
+    return ctr;
 }
 
-json::value comparison_to_json(const core::table3_comparison& c) {
-    json::object o;
-    o.set("row", c.row.index);
-    o.set("ic_type", c.row.ic_type);
-    o.set("printed_ctr_micro", c.row.printed_ctr_micro);
-    o.set("computed_ctr_micro", c.computed_ctr_micro);
-    o.set("ratio", c.ratio);
-    o.set("reconstructed", c.row.reconstructed);
-    return json::value{std::move(o)};
+void comparison_into(const core::table3_comparison& c, std::string& out) {
+    object_writer w{out};
+    w.number("row", c.row.index);
+    w.text("ic_type", c.row.ic_type);
+    w.number("printed_ctr_micro", c.row.printed_ctr_micro);
+    w.number("computed_ctr_micro", c.computed_ctr_micro);
+    w.number("ratio", c.ratio);
+    w.key("reconstructed") += c.row.reconstructed ? "true" : "false";
+    w.close();
 }
 
-json::value eval_table3(const table3_request& q) {
+void table3_into(const table3_request& q, std::string& out) {
     const std::vector<core::table3_comparison> all = core::reproduce_table3();
     if (q.row != 0) {
         for (const core::table3_comparison& c : all) {
             if (c.row.index == q.row) {
-                return comparison_to_json(c);
+                comparison_into(c, out);
+                return;
             }
         }
         throw request_error("bad_param", "table3: no row " +
                                              std::to_string(q.row));
     }
-    json::array rows;
-    rows.reserve(all.size());
-    for (const core::table3_comparison& c : all) {
-        rows.push_back(comparison_to_json(c));
+    object_writer w{out};
+    std::string& rows = w.key("rows");
+    rows += '[';
+    for (std::size_t i = 0; i < all.size(); ++i) {
+        if (i != 0) {
+            rows += ',';
+        }
+        comparison_into(all[i], rows);
     }
-    json::object o;
-    o.set("rows", std::move(rows));
-    o.set("memory_logic_separation", core::memory_logic_separation());
-    return json::value{std::move(o)};
+    rows += ']';
+    w.number("memory_logic_separation", core::memory_logic_separation());
+    w.close();
 }
 
-json::value eval_mc_yield(const mc_yield_request& q, unsigned parallelism,
-                          const exec::cancel_token* cancel) {
+double mc_yield_into(const mc_yield_request& q, unsigned parallelism,
+                     const exec::cancel_token* cancel, std::string& out) {
     yield::wire_array_layout layout;
     layout.line_width = q.line_width_um;
     layout.line_spacing = q.line_spacing_um;
@@ -267,16 +327,17 @@ json::value eval_mc_yield(const mc_yield_request& q, unsigned parallelism,
     const yield::monte_carlo_result r =
         yield::simulate_layout_yield(layout, sizes, config);
 
-    json::object o;
-    o.set("dies", static_cast<double>(r.dies));
-    o.set("good_dies", static_cast<double>(r.good_dies));
-    o.set("defects_thrown", static_cast<double>(r.defects_thrown));
-    o.set("shorts", static_cast<double>(r.shorts));
-    o.set("opens", static_cast<double>(r.opens));
-    o.set("yield", r.yield);
-    o.set("std_error", r.std_error);
-    o.set("observed_faults_per_die", r.observed_faults_per_die());
-    return json::value{std::move(o)};
+    object_writer w{out};
+    w.number("dies", static_cast<double>(r.dies));
+    w.number("good_dies", static_cast<double>(r.good_dies));
+    w.number("defects_thrown", static_cast<double>(r.defects_thrown));
+    w.number("shorts", static_cast<double>(r.shorts));
+    w.number("opens", static_cast<double>(r.opens));
+    w.number("yield", r.yield);
+    w.number("std_error", r.std_error);
+    w.number("observed_faults_per_die", r.observed_faults_per_die());
+    w.close();
+    return r.yield;
 }
 
 chiplet::substrate_kind substrate_from_string(const std::string& name) {
@@ -323,35 +384,31 @@ chiplet::chiplet_spec spec_from(const chiplet_request& q) {
 }
 
 /// The chiplet endpoint's result object from a computed breakdown.
-/// Shared by eval_chiplet and the explore-lane cache population, so a
-/// cached explore cell is byte-identical to a fresh point evaluation.
-json::value chiplet_result_json(const chiplet::chiplet_breakdown& b,
-                                const std::string& substrate) {
-    json::object o;
-    o.set("chiplets", static_cast<double>(b.chiplets));
-    o.set("total_area_mm2", b.total_area_mm2);
-    o.set("chiplet_area_mm2", b.chiplet_area_mm2);
-    o.set("die_yield", b.die_yield);
-    o.set("gross_dies_per_wafer", b.gross_dies_per_wafer);
-    o.set("wafer_cost_usd", b.wafer_cost_usd);
-    o.set("die_cost_usd", b.die_cost_usd);
-    o.set("test_cost_per_die_usd", b.test_cost_per_die_usd);
-    o.set("defect_level", b.defect_level);
-    o.set("substrate", substrate);
-    o.set("package_area_cm2", b.package_area_cm2);
-    o.set("substrate_cost_usd", b.substrate_cost_usd);
-    o.set("substrate_yield", b.substrate_yield);
-    o.set("assembly_yield", b.assembly_yield);
-    o.set("module_yield", b.module_yield);
-    o.set("bonding_cost_usd", b.bonding_cost_usd);
-    o.set("cost_per_system_usd", b.cost_per_system_usd);
-    o.set("cost_per_good_system_usd", b.cost_per_good_system_usd);
-    return json::value{std::move(o)};
-}
-
-json::value eval_chiplet(const chiplet_request& q) {
-    return chiplet_result_json(chiplet::evaluate_chiplet(spec_from(q)),
-                               q.substrate);
+/// Explore cells cache these bytes too, so a cached cell is
+/// byte-identical to a fresh point evaluation.
+double chiplet_into(const chiplet::chiplet_breakdown& b,
+                    std::string_view substrate, std::string& out) {
+    object_writer w{out};
+    w.number("chiplets", static_cast<double>(b.chiplets));
+    w.number("total_area_mm2", b.total_area_mm2);
+    w.number("chiplet_area_mm2", b.chiplet_area_mm2);
+    w.number("die_yield", b.die_yield);
+    w.number("gross_dies_per_wafer", b.gross_dies_per_wafer);
+    w.number("wafer_cost_usd", b.wafer_cost_usd);
+    w.number("die_cost_usd", b.die_cost_usd);
+    w.number("test_cost_per_die_usd", b.test_cost_per_die_usd);
+    w.number("defect_level", b.defect_level);
+    w.text("substrate", substrate);
+    w.number("package_area_cm2", b.package_area_cm2);
+    w.number("substrate_cost_usd", b.substrate_cost_usd);
+    w.number("substrate_yield", b.substrate_yield);
+    w.number("assembly_yield", b.assembly_yield);
+    w.number("module_yield", b.module_yield);
+    w.number("bonding_cost_usd", b.bonding_cost_usd);
+    w.number("cost_per_system_usd", b.cost_per_system_usd);
+    w.number("cost_per_good_system_usd", b.cost_per_good_system_usd);
+    w.close();
+    return b.cost_per_good_system_usd;
 }
 
 /// The split counts of a validated partition_explore `splits` list
@@ -405,31 +462,6 @@ std::vector<double> grid_points(double from, double to, int count,
     return xs;
 }
 
-/// Grid points of a sweep: linear or geometric, endpoints inclusive.
-std::vector<double> sweep_grid(const sweep_request& q) {
-    return grid_points(q.from, q.to, q.count, q.scale == "log");
-}
-
-/// Find the dotted-path member in a (mutable) document.
-json::value* walk(json::value& root, std::string_view path) {
-    json::value* node = &root;
-    std::size_t begin = 0;
-    for (;;) {
-        const std::size_t dot = path.find('.', begin);
-        const std::string_view segment =
-            path.substr(begin,
-                        dot == std::string_view::npos ? path.size() - begin
-                                                      : dot - begin);
-        if (!node->is_object()) {
-            return nullptr;
-        }
-        node = node->as_object().find(segment);
-        if (node == nullptr || dot == std::string_view::npos) {
-            return node;
-        }
-        begin = dot + 1;
-    }
-}
 
 std::string error_code_for(const std::exception& e) {
     if (const auto* schema = dynamic_cast<const request_error*>(&e)) {
@@ -524,12 +556,11 @@ bool anomalous_code(std::string_view code) noexcept {
 class lane_keys {
 public:
     lane_keys(request target, std::string_view param) {
-        double* slot = numeric_param_ptr(target, param);
         std::string one;
         std::string two;
-        *slot = 1.0;
+        (void)set_numeric_param(target, param, 1.0);
         canonical_key_into(target, one);
-        *slot = 2.0;
+        (void)set_numeric_param(target, param, 2.0);
         canonical_key_into(target, two);
         std::size_t head = 0;
         while (one[head] == two[head]) {
@@ -591,6 +622,9 @@ struct line_state {
     fast_parse_state parsed;
     /// Cache-miss result body (capacity reused by closed-form misses).
     std::string body;
+    /// Reads lane metrics back out of cached results (cached_metric).
+    exec::arena lane_arena;
+    json::arena_parser lane_parser;
 };
 
 line_state& tls_line_state() {
@@ -598,132 +632,20 @@ line_state& tls_line_state() {
     return state;
 }
 
-/// Closed-form point ops: evaluate the scalar library straight from the
-/// typed payload and serialize the result body into `out` —
-/// byte-identical to json::dump(eval_*(q)) (same field order, same
-/// format_number_into/write_string_into bytes) without building a
-/// json::value tree, so a cache miss at warm capacity performs zero
-/// heap allocations end to end.  Returns false for ops whose evaluation
-/// allocates or needs the engine, and for inputs whose error message
-/// eval_* owns (the caller then runs evaluate); inputs the scalar
-/// library rejects throw out of here exactly like eval_*.
-bool cold_result_into(const request& req, std::string& out) {
-    switch (req.op) {
-        case op_code::scenario1: {
-            const auto& q = std::get<scenario1_request>(req.payload);
-            core::scenario1 s;
-            s.wafer_cost = cost::wafer_cost_model{dollars{q.c0_usd}, q.x};
-            s.wafer = geometry::wafer{centimeters{q.wafer_radius_cm}};
-            s.design_density = q.design_density;
-            const dollars ctr = s.cost_per_transistor(microns{q.lambda_um});
-            out += "{\"cost_per_transistor_usd\":";
-            json::format_number_into(ctr.value(), out);
-            out += ",\"cost_per_transistor_micro_usd\":";
-            json::format_number_into(ctr.value() * 1e6, out);
-            out += '}';
-            return true;
-        }
-        case op_code::scenario2: {
-            const auto& q = std::get<scenario2_request>(req.payload);
-            core::scenario2 s;
-            s.wafer_cost = cost::wafer_cost_model{dollars{q.c0_usd}, q.x};
-            s.wafer = geometry::wafer{centimeters{q.wafer_radius_cm}};
-            s.design_density = q.design_density;
-            s.yield = yield::reference_die_yield{probability{q.y0}};
-            const microns lambda{q.lambda_um};
-            const dollars ctr = s.cost_per_transistor(lambda);
-            out += "{\"cost_per_transistor_usd\":";
-            json::format_number_into(ctr.value(), out);
-            out += ",\"cost_per_transistor_micro_usd\":";
-            json::format_number_into(ctr.value() * 1e6, out);
-            out += ",\"die_area_cm2\":";
-            json::format_number_into(s.die_area(lambda).value(), out);
-            out += ",\"transistors\":";
-            json::format_number_into(s.transistors(lambda), out);
-            out += '}';
-            return true;
-        }
-        case op_code::yield: {
-            const auto& q = std::get<yield_request>(req.payload);
-            out += "{\"model\":";
-            json::write_string_into(out, q.model);
-            if (q.model == "scaled_poisson") {
-                const yield::scaled_poisson_model model{q.d, q.p};
-                out += ",\"yield\":";
-                json::format_number_into(
-                    model.yield(square_centimeters{q.die_area_cm2},
-                                microns{q.lambda_um})
-                        .value(),
-                    out);
-                out += ",\"effective_defects_per_cm2\":";
-                json::format_number_into(
-                    model.effective_defect_density(microns{q.lambda_um}),
-                    out);
-                out += '}';
-                return true;
-            }
-            if (q.model == "reference") {
-                const yield::reference_die_yield model{
-                    probability{q.y0}, square_centimeters{q.a0_cm2}};
-                out += ",\"yield\":";
-                json::format_number_into(
-                    model.yield(square_centimeters{q.die_area_cm2}).value(),
-                    out);
-                out += ",\"equivalent_defects_per_cm2\":";
-                json::format_number_into(model.equivalent_defect_density(),
-                                         out);
-                out += '}';
-                return true;
-            }
-            const double faults = q.expected_faults >= 0.0
-                                      ? q.expected_faults
-                                      : q.die_area_cm2 * q.defects_per_cm2;
-            if (!(faults >= 0.0) || !std::isfinite(faults)) {
-                return false;  // eval_yield owns the bad_param error
-            }
-            probability y{0.0};
-            if (q.model == "poisson") {
-                y = yield::poisson_model{}.yield(faults);
-            } else if (q.model == "murphy") {
-                y = yield::murphy_model{}.yield(faults);
-            } else if (q.model == "seeds") {
-                y = yield::seeds_model{}.yield(faults);
-            } else if (q.model == "bose_einstein") {
-                y = yield::bose_einstein_model{q.critical_steps}.yield(
-                    faults);
-            } else if (q.model == "neg_binomial") {
-                y = yield::negative_binomial_model{q.alpha}.yield(faults);
-            } else {
-                return false;  // unknown model: eval_yield owns the error
-            }
-            out += ",\"expected_faults\":";
-            json::format_number_into(faults, out);
-            out += ",\"yield\":";
-            json::format_number_into(y.value(), out);
-            out += '}';
-            return true;
-        }
-        case op_code::gross_die: {
-            const auto& q = std::get<gross_die_request>(req.payload);
-            const geometry::wafer w{centimeters{q.wafer_radius_cm},
-                                    centimeters{q.edge_exclusion_cm}};
-            const geometry::die d{millimeters{q.die_width_mm},
-                                  millimeters{q.die_height_mm}};
-            const long count = geometry::gross_dies(
-                w, d, method_from_name(q.method), millimeters{q.scribe_mm});
-            out += "{\"count\":";
-            json::format_number_into(static_cast<double>(count), out);
-            out += ",\"method\":";
-            json::write_string_into(out, q.method);
-            out += ",\"die_area_mm2\":";
-            json::format_number_into(d.area().value(), out);
-            out += ",\"wafer_area_cm2\":";
-            json::format_number_into(w.area().value(), out);
-            out += '}';
-            return true;
-        }
-        default:
-            return false;
+/// The number a cached result object holds under `metric`; NaN when the
+/// member is absent or not a number.  NaN lanes are never cached and
+/// doubles print shortest-round-trip, so for a cached lane this is the
+/// lane value bit for bit.  Parsed in the thread's lane arena: the line
+/// arena still holds the request being answered.
+double cached_metric(const std::string& bytes, const char* metric) {
+    line_state& st = tls_line_state();
+    st.lane_arena.reset();
+    try {
+        const json::aview* v =
+            st.lane_parser.parse(bytes, st.lane_arena).find(metric);
+        return v != nullptr && v->is_number() ? v->number : no_metric;
+    } catch (const std::exception&) {
+        return no_metric;  // defensive: cached results always parse
     }
 }
 
@@ -737,12 +659,19 @@ engine::engine(engine_config config)
     : config_{config},
       cache_{config.cache_capacity, config.cache_shards} {}
 
-json::value engine::evaluate(const request& req) {
-    return evaluate_impl(req, nullptr);
+void engine::evaluate_into(const request& req, std::string& out) {
+    out.clear();
+    (void)result_into(req, out, nullptr);
 }
 
-json::value engine::evaluate_impl(const request& req,
-                                  const exec::cancel_token* cancel) {
+json::value engine::evaluate(const request& req) {
+    std::string body;
+    evaluate_into(req, body);
+    return json::parse(body);
+}
+
+double engine::result_into(const request& req, std::string& out,
+                           const exec::cancel_token* cancel) {
     // Structural budget checks (too_large): properties of the request
     // alone, so the same request is rejected identically every time —
     // the deterministic half of the rejection taxonomy.
@@ -781,86 +710,97 @@ json::value engine::evaluate_impl(const request& req,
 
     switch (req.op) {
         case op_code::cost_tr:
-            return eval_cost_tr(std::get<cost_tr_request>(req.payload));
+            return cost_tr_into(std::get<cost_tr_request>(req.payload), out);
         case op_code::gross_die:
-            return eval_gross_die(std::get<gross_die_request>(req.payload));
+            return gross_die_into(std::get<gross_die_request>(req.payload),
+                                  out);
         case op_code::yield:
-            return eval_yield(std::get<yield_request>(req.payload));
+            return yield_into(std::get<yield_request>(req.payload), out);
         case op_code::scenario1:
-            return eval_scenario1(std::get<scenario1_request>(req.payload));
+            return scenario1_into(std::get<scenario1_request>(req.payload),
+                                  out);
         case op_code::scenario2:
-            return eval_scenario2(std::get<scenario2_request>(req.payload));
+            return scenario2_into(std::get<scenario2_request>(req.payload),
+                                  out);
         case op_code::table3:
-            return eval_table3(std::get<table3_request>(req.payload));
+            table3_into(std::get<table3_request>(req.payload), out);
+            return no_metric;
         case op_code::mc_yield:
-            return eval_mc_yield(std::get<mc_yield_request>(req.payload),
-                                 config_.parallelism, cancel);
+            return mc_yield_into(std::get<mc_yield_request>(req.payload),
+                                 config_.parallelism, cancel, out);
         case op_code::sweep:
-            return eval_sweep(std::get<sweep_request>(req.payload), cancel);
+            sweep_into(std::get<sweep_request>(req.payload), out, cancel);
+            return no_metric;
         case op_code::stats:
-            return stats_json();
-        case op_code::chiplet:
-            return eval_chiplet(std::get<chiplet_request>(req.payload));
+            out += json::dump(stats_json());
+            return no_metric;
+        case op_code::chiplet: {
+            const auto& q = std::get<chiplet_request>(req.payload);
+            return chiplet_into(chiplet::evaluate_chiplet(spec_from(q)),
+                                q.substrate, out);
+        }
         case op_code::partition_explore:
-            return eval_partition_explore(
-                std::get<partition_explore_request>(req.payload), cancel);
+            explore_into(std::get<partition_explore_request>(req.payload),
+                         out, cancel);
+            return no_metric;
     }
     throw std::logic_error("engine: unhandled op");
 }
 
-std::shared_ptr<const std::string> engine::result_for(
-    const request& req, const exec::cancel_token* cancel) {
-    if (auto hit = cache_.get(req.canonical_key)) {
-        metrics_.at(req.op).cache_hits.fetch_add(1,
-                                                 std::memory_order_relaxed);
-        return hit;
+void engine::sweep_into(const sweep_request& q, std::string& out,
+                        const exec::cancel_token* cancel) {
+    const std::vector<double> xs =
+        grid_points(q.from, q.to, q.count, q.scale == "log");
+    std::vector<double> ys(xs.size());
+
+    // Grid points are independent; inside a batch worker this degrades
+    // to serial with the identical decomposition (exec contract), so
+    // sweep responses are byte-stable at every nesting/thread level.
+    // Every lane equals the primary metric of its own point request
+    // (tests/serve/test_engine.cpp pins this), and both lane paths
+    // populate the same per-point memoization cache.
+    if (!kernel_lanes(q, xs, ys, cancel)) {
+        point_lanes(q, xs, ys, cancel);
     }
-    eval_fault_site();
-    auto result = std::make_shared<const std::string>(
-        json::dump(evaluate_impl(req, cancel)));
-    // A cancelled evaluation threw above, so deadline errors are never
-    // cached; a result that *did* complete is bit-identical to an
-    // uncancelled run (shard-boundary cancellation) and safe to keep.
-    cache_.put(req.canonical_key, *result);
-    return result;
+
+    const op_code op = q.target->op;
+    object_writer w{out};
+    w.text("target_op", to_string(op));
+    w.text("param", q.param);
+    w.text("metric", primary_metric(op));
+    w.text("scale", q.scale);
+    w.numbers("xs", xs);
+    w.numbers("ys", ys);
+    w.close();
 }
 
-bool engine::eval_sweep_fast(const sweep_request& q,
-                             const std::vector<double>& xs,
-                             std::vector<json::value>& ys,
-                             const exec::cancel_token* cancel) {
+bool engine::kernel_lanes(const sweep_request& q,
+                          const std::vector<double>& xs,
+                          std::vector<double>& ys,
+                          const exec::cancel_token* cancel) {
     const request& tgt = *q.target;
-    // mc_yield points are expensive and benefit from per-point
-    // memoization + nested parallelism; table3/stats/sweep targets
-    // have no double parameters worth kernelizing.
-    if (tgt.op == op_code::mc_yield || tgt.op == op_code::table3 ||
-        tgt.op == op_code::sweep || tgt.op == op_code::stats) {
+    if (tgt.op != op_code::scenario1 && tgt.op != op_code::scenario2 &&
+        tgt.op != op_code::yield) {
         return false;
     }
-
     const std::size_t n = xs.size();
     const bool fm = config_.fast_math;
     request tmp = tgt;
     double* slot = numeric_param_ptr(tmp, q.param);
     if (slot == nullptr) {
-        return false;  // integer-typed parameter: generic path
+        return false;  // integer-valued parameter: per-lane path
     }
 
-    // Cache-aware planning for the SoA-kernel targets: probe each
-    // lane's canonical point key, splice lanes the point cache already
-    // holds, and run the kernel over the missing lanes only.
-    // Lanes are independent and sub-range kernel calls are bit-exact
-    // (batch contract), so a gathered evaluation produces the very
-    // bytes a full-grid run would; cached lanes carry bytes a fresh
-    // scalar evaluation wrote, so the spliced response is identical at
-    // --threads 1/4/0 and to an empty-cache run.  fast_math is
-    // excluded both ways: fast lanes never enter the point cache and
-    // must never be answered from it.
-    const bool kernel_op = tgt.op == op_code::scenario1 ||
-                           tgt.op == op_code::scenario2 ||
-                           tgt.op == op_code::yield;
-    const bool lane_cache =
-        config_.cache_capacity != 0 && !config_.fast_math && kernel_op;
+    // Cache-aware planning: probe each lane's canonical point key,
+    // splice lanes the point cache already holds, and run the kernel
+    // over the missing lanes only.  Lanes are independent and sub-range
+    // kernel calls are bit-exact (batch contract), so a gathered
+    // evaluation produces the very bytes a full-grid run would; cached
+    // lanes carry bytes a fresh scalar evaluation wrote, so the spliced
+    // response is identical at --threads 1/4/0 and to an empty-cache
+    // run.  fast_math is excluded both ways: fast lanes never enter the
+    // point cache and must never be answered from it.
+    const bool lane_cache = config_.cache_capacity != 0 && !fm;
     std::vector<std::shared_ptr<const std::string>> hit;
     std::vector<double> missing_xs;      // kernel input (cache misses)
     std::vector<std::size_t> lane_of;    // kernel lane j -> grid lane i
@@ -872,8 +812,7 @@ bool engine::eval_sweep_fast(const sweep_request& q,
         lane_of.reserve(n);
         for (std::size_t i = 0; i < n; ++i) {
             // get_if_present: a hit counts, a planning miss does not —
-            // the authoritative misses stay wherever evaluation runs,
-            // so hit/miss accounting matches the pre-planning engine.
+            // the authoritative misses stay wherever evaluation runs.
             key_of.key_into(xs[i], lane_key);
             hit[i] = cache_.get_if_present(lane_key);
             if (hit[i] == nullptr) {
@@ -905,36 +844,20 @@ bool engine::eval_sweep_fast(const sweep_request& q,
     };
     // Answers every lane: kernel lanes from `out`, cached lanes from the
     // cache.  Kernel lanes also enter the point cache under the key of
-    // their point request, with the bytes that point request writes
-    // (cold_result_into on the lane's request), so a post-sweep point
-    // query is a warm hit.  NaN (scalar-throw) lanes are never cached —
-    // errors never are — and fast_math lanes never are either: point
-    // queries always evaluate the scalar library.
+    // their point request, with the bytes that point request writes, so
+    // a post-sweep point query is a warm hit.  NaN (scalar-throw) lanes
+    // are never cached — errors never are.
     const auto emit = [&](const std::vector<double>& out) {
         for (std::size_t j = 0; j < m; ++j) {
-            const std::size_t i = lane_cache ? lane_of[j] : j;
-            ys[i] = std::isnan(out[j]) ? json::value{nullptr}
-                                       : json::value{out[j]};
+            ys[lane_cache ? lane_of[j] : j] = out[j];
         }
         if (!lane_cache) {
             return;
         }
-        // Splice cached lanes back in lane order.  The cached bytes
-        // are a fresh scalar evaluation's result object; doubles print
-        // shortest-round-trip, so parse -> primary metric reproduces
-        // the lane value bit for bit.  NaN lanes are never cached, so
-        // a hit always carries the metric.
+        const char* metric = primary_metric(tgt.op);
         for (std::size_t i = 0; i < n; ++i) {
-            if (hit[i] == nullptr) {
-                continue;
-            }
-            try {
-                const json::value res = json::parse(*hit[i]);
-                const json::value* metric =
-                    res.as_object().find(primary_metric(tgt.op));
-                ys[i] = metric != nullptr ? *metric : json::value{};
-            } catch (const std::exception&) {
-                ys[i] = json::value{nullptr};  // defensive: cached JSON
+            if (hit[i] != nullptr) {
+                ys[i] = cached_metric(*hit[i], metric);
             }
         }
         request local = tgt;
@@ -950,257 +873,168 @@ bool engine::eval_sweep_fast(const sweep_request& q,
             *lslot = kxs[j];
             body.clear();
             try {
-                if (cold_result_into(local, body)) {
-                    key_of.key_into(kxs[j], lane_key);
-                    cache_.put(lane_key, body);
-                }
+                (void)result_into(local, body, nullptr);
+                key_of.key_into(kxs[j], lane_key);
+                cache_.put(lane_key, body);
             } catch (const std::exception&) {
                 // Side values threw where the metric did not: skip.
             }
         }
     };
 
-    switch (tgt.op) {
-        case op_code::scenario1: {
-            const auto& t = std::get<scenario1_request>(tmp.payload);
-            const auto lambda = col(t.lambda_um), c0 = col(t.c0_usd),
-                       x = col(t.x), r = col(t.wafer_radius_cm),
-                       dd = col(t.design_density);
-            std::vector<double> out(m);
-            shard([&](std::size_t b, std::size_t len) {
-                cost::batch::scenario_columns cols;
-                cols.lambda_um = lambda.data() + b;
-                cols.c0_usd = c0.data() + b;
-                cols.x = x.data() + b;
-                cols.wafer_radius_cm = r.data() + b;
-                cols.design_density = dd.data() + b;
-                (fm ? cost::batch::scenario1_cost_per_transistor_fast
-                    : cost::batch::scenario1_cost_per_transistor)(
-                    cols, out.data() + b, len);
-            });
-            emit(out);
-            return true;
+    std::vector<double> out(m);
+    // Scenario #1 is scenario #2 without the reference-yield column.
+    const auto scenario = [&](const auto& t, auto kernel, auto fast_kernel) {
+        const auto lambda = col(t.lambda_um), c0 = col(t.c0_usd),
+                   x = col(t.x), r = col(t.wafer_radius_cm),
+                   dd = col(t.design_density);
+        std::vector<double> y0;
+        if constexpr (requires { t.y0; }) {
+            y0 = col(t.y0);
         }
-        case op_code::scenario2: {
-            const auto& t = std::get<scenario2_request>(tmp.payload);
-            const auto lambda = col(t.lambda_um), c0 = col(t.c0_usd),
-                       x = col(t.x), r = col(t.wafer_radius_cm),
-                       dd = col(t.design_density), y0 = col(t.y0);
-            std::vector<double> out(m);
-            shard([&](std::size_t b, std::size_t len) {
-                cost::batch::scenario_columns cols;
-                cols.lambda_um = lambda.data() + b;
-                cols.c0_usd = c0.data() + b;
-                cols.x = x.data() + b;
-                cols.wafer_radius_cm = r.data() + b;
-                cols.design_density = dd.data() + b;
+        shard([&](std::size_t b, std::size_t len) {
+            cost::batch::scenario_columns cols;
+            cols.lambda_um = lambda.data() + b;
+            cols.c0_usd = c0.data() + b;
+            cols.x = x.data() + b;
+            cols.wafer_radius_cm = r.data() + b;
+            cols.design_density = dd.data() + b;
+            if constexpr (requires { t.y0; }) {
                 cols.y0 = y0.data() + b;
-                (fm ? cost::batch::scenario2_cost_per_transistor_fast
-                    : cost::batch::scenario2_cost_per_transistor)(
-                    cols, out.data() + b, len);
-            });
-            emit(out);
-            return true;
-        }
-        case op_code::yield: {
-            const auto& t = std::get<yield_request>(tmp.payload);
-            if (t.model == "poisson" || t.model == "murphy" ||
-                t.model == "seeds" || t.model == "bose_einstein" ||
-                t.model == "neg_binomial") {
-                const auto ef = col(t.expected_faults),
-                           area = col(t.die_area_cm2),
-                           dpc = col(t.defects_per_cm2);
-                const std::vector<double> alpha =
-                    t.model == "neg_binomial" ? col(t.alpha)
+            }
+            (fm ? fast_kernel : kernel)(cols, out.data() + b, len);
+        });
+    };
+    if (tgt.op == op_code::scenario1) {
+        scenario(std::get<scenario1_request>(tmp.payload),
+                 cost::batch::scenario1_cost_per_transistor,
+                 cost::batch::scenario1_cost_per_transistor_fast);
+    } else if (tgt.op == op_code::scenario2) {
+        scenario(std::get<scenario2_request>(tmp.payload),
+                 cost::batch::scenario2_cost_per_transistor,
+                 cost::batch::scenario2_cost_per_transistor_fast);
+    } else if (const auto& t = std::get<yield_request>(tmp.payload);
+               t.model == "scaled_poisson") {
+        const auto area = col(t.die_area_cm2), lambda = col(t.lambda_um),
+                   d = col(t.d), p = col(t.p);
+        shard([&](std::size_t b, std::size_t len) {
+            (fm ? yield::batch::scaled_poisson_yield_fast
+                : yield::batch::scaled_poisson_yield)(
+                area.data() + b, lambda.data() + b, d.data() + b,
+                p.data() + b, out.data() + b, len);
+        });
+    } else if (t.model == "reference") {
+        const auto area = col(t.die_area_cm2), y0 = col(t.y0),
+                   a0 = col(t.a0_cm2);
+        shard([&](std::size_t b, std::size_t len) {
+            (fm ? yield::batch::reference_yield_fast
+                : yield::batch::reference_yield)(
+                area.data() + b, y0.data() + b, a0.data() + b,
+                out.data() + b, len);
+        });
+    } else {
+        // poisson | murphy | seeds | bose_einstein | neg_binomial
+        const auto ef = col(t.expected_faults), area = col(t.die_area_cm2),
+                   dpc = col(t.defects_per_cm2);
+        const std::vector<double> alpha = t.model == "neg_binomial"
+                                              ? col(t.alpha)
                                               : std::vector<double>{};
-                std::vector<double> out(m);
-                shard([&](std::size_t b, std::size_t len) {
-                    // Serve-level fault derivation (eval_yield): the
-                    // explicit count wins, else area * density, both
-                    // gated by the finite/non-negative request check.
-                    std::vector<double> faults(len);
-                    for (std::size_t i = 0; i < len; ++i) {
-                        const double f = ef[b + i] >= 0.0
-                                             ? ef[b + i]
-                                             : area[b + i] * dpc[b + i];
-                        faults[i] =
-                            (!(f >= 0.0) || !std::isfinite(f))
-                                ? std::numeric_limits<
-                                      double>::quiet_NaN()
-                                : f;
-                    }
-                    if (t.model == "poisson") {
-                        (fm ? yield::batch::poisson_yield_fast
-                            : yield::batch::poisson_yield)(
-                            faults.data(), out.data() + b, len);
-                    } else if (t.model == "murphy") {
-                        (fm ? yield::batch::murphy_yield_fast
-                            : yield::batch::murphy_yield)(
-                            faults.data(), out.data() + b, len);
-                    } else if (t.model == "seeds") {
-                        yield::batch::seeds_yield(faults.data(),
+        shard([&](std::size_t b, std::size_t len) {
+            // The endpoint's fault derivation (yield_into): the explicit
+            // count wins, else area * density, both gated by the
+            // finite/non-negative request check.
+            std::vector<double> faults(len);
+            for (std::size_t i = 0; i < len; ++i) {
+                const double f =
+                    ef[b + i] >= 0.0 ? ef[b + i] : area[b + i] * dpc[b + i];
+                faults[i] = (!(f >= 0.0) || !std::isfinite(f)) ? no_metric
+                                                               : f;
+            }
+            if (t.model == "poisson") {
+                (fm ? yield::batch::poisson_yield_fast
+                    : yield::batch::poisson_yield)(faults.data(),
+                                                   out.data() + b, len);
+            } else if (t.model == "murphy") {
+                (fm ? yield::batch::murphy_yield_fast
+                    : yield::batch::murphy_yield)(faults.data(),
                                                   out.data() + b, len);
-                    } else if (t.model == "bose_einstein") {
-                        (fm ? yield::batch::bose_einstein_yield_fast
-                            : yield::batch::bose_einstein_yield)(
-                            faults.data(), t.critical_steps,
-                            out.data() + b, len);
-                    } else {
-                        (fm ? yield::batch::negative_binomial_yield_fast
-                            : yield::batch::negative_binomial_yield)(
-                            faults.data(), alpha.data() + b,
-                            out.data() + b, len);
-                    }
-                });
-                emit(out);
-                return true;
+            } else if (t.model == "seeds") {
+                yield::batch::seeds_yield(faults.data(), out.data() + b, len);
+            } else if (t.model == "bose_einstein") {
+                (fm ? yield::batch::bose_einstein_yield_fast
+                    : yield::batch::bose_einstein_yield)(
+                    faults.data(), t.critical_steps, out.data() + b, len);
+            } else {
+                (fm ? yield::batch::negative_binomial_yield_fast
+                    : yield::batch::negative_binomial_yield)(
+                    faults.data(), alpha.data() + b, out.data() + b, len);
             }
-            if (t.model == "scaled_poisson") {
-                const auto area = col(t.die_area_cm2),
-                           lambda = col(t.lambda_um), d = col(t.d),
-                           p = col(t.p);
-                std::vector<double> out(m);
-                shard([&](std::size_t b, std::size_t len) {
-                    (fm ? yield::batch::scaled_poisson_yield_fast
-                        : yield::batch::scaled_poisson_yield)(
-                        area.data() + b, lambda.data() + b, d.data() + b,
-                        p.data() + b, out.data() + b, len);
-                });
-                emit(out);
-                return true;
-            }
-            if (t.model == "reference") {
-                const auto area = col(t.die_area_cm2), y0 = col(t.y0),
-                           a0 = col(t.a0_cm2);
-                std::vector<double> out(m);
-                shard([&](std::size_t b, std::size_t len) {
-                    (fm ? yield::batch::reference_yield_fast
-                        : yield::batch::reference_yield)(
-                        area.data() + b, y0.data() + b, a0.data() + b,
-                        out.data() + b, len);
-                });
-                emit(out);
-                return true;
-            }
-            break;  // unreachable: every validated model has a lane
-        }
-        default:
-            break;
+        });
     }
+    emit(out);
+    return true;
+}
 
-    // Typed per-lane evaluation (cost_tr, gross_die, chiplet,
-    // swept-integer parameters): skips the per-point JSON clone/parse
-    // round trip; each shard pokes its own copy of the target request.
-    // Successful lanes still land in the point cache under their
-    // canonical key, same as the generic path, so post-sweep point
-    // queries are warm hits.  The per-point catch never swallows
-    // cancellation: mc_yield targets were excluded above, so nothing
-    // inside a point can throw cancelled_error — the cancellable
-    // parallel_for owns the deadline.
+void engine::point_lanes(const sweep_request& q,
+                         const std::vector<double>& xs,
+                         std::vector<double>& ys,
+                         const exec::cancel_token* cancel) {
+    // Typed per-lane evaluation for targets without an SoA kernel
+    // (cost_tr, gross_die, chiplet, mc_yield) and for swept
+    // integer-valued parameters: each shard writes lane values into its
+    // own copy of the target request and runs the endpoint writer on it.
+    // A lane whose point request would fail schema validation (a
+    // non-integral or out-of-range integer) is null without evaluating.
+    // Lanes the point cache holds are spliced, and evaluated lanes enter
+    // it under their point request's key — cached bytes are a fresh
+    // scalar evaluation's, so the response is byte-identical either way.
+    // A lane's catch may swallow a cancelled_error thrown by a nested
+    // mc_yield evaluation (null slot), but the cancellable parallel_for
+    // re-raises after the join — the expired token is sticky — so a
+    // deadline always surfaces as deadline_exceeded, never as a
+    // response with nondeterministic nulls.
+    const request& tgt = *q.target;
+    const bool lane_cache = config_.cache_capacity != 0;
+    const lane_keys key_of{tgt, q.param};
+    const char* metric = primary_metric(tgt.op);
     exec::parallel_for(
-        n, config_.parallelism,
+        xs.size(), config_.parallelism,
         [&](const exec::shard_range& r) {
-            request local = tgt;
-            double* lslot = numeric_param_ptr(local, q.param);
+            request lane = tgt;
             std::string key;
+            std::string body;
             for (std::size_t i = r.begin; i < r.end; ++i) {
-                *lslot = xs[i];
+                ys[i] = no_metric;
                 try {
-                    if (config_.cache_capacity != 0) {
-                        // Cache-aware lane: a point the cache already
-                        // holds is spliced instead of re-evaluated —
-                        // cached bytes are a fresh scalar evaluation's,
-                        // so the response is byte-identical either way.
-                        key_of.key_into(xs[i], key);
+                    const double x = set_numeric_param(lane, q.param, xs[i]);
+                    if (std::isnan(x)) {
+                        continue;
+                    }
+                    if (lane_cache) {
+                        key_of.key_into(x, key);
                         if (const auto cached = cache_.get_if_present(key)) {
-                            const json::value res = json::parse(*cached);
-                            const json::value* metric = res.as_object().find(
-                                primary_metric(local.op));
-                            ys[i] = metric != nullptr ? *metric
-                                                      : json::value{};
+                            ys[i] = cached_metric(*cached, metric);
                             continue;
                         }
                     }
-                    const json::value res = evaluate(local);
-                    const json::value* metric =
-                        res.as_object().find(primary_metric(local.op));
-                    ys[i] = metric != nullptr ? *metric : json::value{};
-                    if (config_.cache_capacity != 0) {
-                        cache_.put(key, json::dump(res));
+                    body.clear();
+                    ys[i] = result_into(lane, body, cancel);
+                    if (lane_cache) {
+                        cache_.put(key, body);
                     }
                 } catch (const std::exception&) {
-                    ys[i] = json::value{nullptr};
+                    // Infeasible point (die does not fit, yield
+                    // underflow, negative parameter): null slot.
+                    ys[i] = no_metric;
                 }
             }
         },
         cancel);
-    return true;
 }
 
-json::value engine::eval_sweep(const sweep_request& q,
-                               const exec::cancel_token* cancel) {
-    const std::vector<double> xs = sweep_grid(q);
-    std::vector<json::value> ys(xs.size());
-
-    // Grid points are independent; inside a batch worker this degrades
-    // to serial with the identical decomposition (exec contract), so
-    // sweep responses are byte-stable at every nesting/thread level.
-    // Every lane equals the primary metric of its own point request
-    // (tests/serve/test_engine.cpp pins this), and kernel lanes populate
-    // the same per-point memoization cache as the per-point path below.
-    if (!eval_sweep_fast(q, xs, ys, cancel)) {
-        // A point's catch may swallow a cancelled_error thrown by a
-        // nested mc_yield evaluation (null slot), but the cancellable
-        // parallel_for re-raises after the join — the expired token is
-        // sticky — so a deadline always surfaces as deadline_exceeded,
-        // never as a response with nondeterministic nulls.
-        exec::parallel_for(
-            xs.size(), config_.parallelism,
-            [&](const exec::shard_range& r) {
-                for (std::size_t i = r.begin; i < r.end; ++i) {
-                    json::value doc{q.target_params};
-                    json::value* slot = walk(doc, q.param);
-                    if (slot == nullptr) {
-                        continue;  // validated at parse time; cannot happen
-                    }
-                    *slot = json::value{xs[i]};
-                    try {
-                        const request point = parse_request(doc);
-                        const std::shared_ptr<const std::string> result =
-                            result_for(point, cancel);
-                        const json::value parsed = json::parse(*result);
-                        const json::value* metric =
-                            parsed.as_object().find(primary_metric(point.op));
-                        if (metric != nullptr) {
-                            ys[i] = *metric;
-                        }
-                    } catch (const std::exception&) {
-                        // Infeasible point (die does not fit, yield
-                        // underflow, negative parameter): null slot.
-                        ys[i] = json::value{nullptr};
-                    }
-                }
-            },
-            cancel);
-    }
-
-    json::array xs_json;
-    xs_json.reserve(xs.size());
-    for (const double x : xs) {
-        xs_json.emplace_back(x);
-    }
-    json::object o;
-    o.set("target_op", std::string{to_string(q.target->op)});
-    o.set("param", q.param);
-    o.set("metric", primary_metric(q.target->op));
-    o.set("scale", q.scale);
-    o.set("xs", std::move(xs_json));
-    o.set("ys", std::move(ys));
-    return json::value{std::move(o)};
-}
-
-json::value engine::eval_partition_explore(
-    const partition_explore_request& q, const exec::cancel_token* cancel) {
+void engine::explore_into(const partition_explore_request& q,
+                          std::string& out,
+                          const exec::cancel_token* cancel) {
     const std::vector<double> xs = grid_points(
         q.area_from_mm2, q.area_to_mm2, q.count, q.scale == "log");
     const std::vector<int> splits = parse_splits(q.splits);
@@ -1221,92 +1055,14 @@ json::value engine::eval_partition_explore(
     // (scalar math, cache enabled): each feasible cell is exactly the
     // chiplet point request for the scaled spec at that split, so cells
     // land in — and are answered from — the same per-point memoization
-    // as a direct `op:chiplet` query.  Cached
-    // bytes are a fresh scalar evaluation's result object, so splicing
-    // the metric back keeps the response byte-identical to an
-    // empty-cache run at every thread count.
+    // as a direct `op:chiplet` query, with the bytes chiplet_into
+    // writes for it.
     const bool lane_cache =
         config_.cache_capacity != 0 && !config_.fast_math;
     for (std::size_t s = 0; s < splits.size(); ++s) {
-        double* out = cost[s].data();
+        double* row = cost[s].data();
         const int split = splits[s];
-        if (lane_cache) {
-            std::vector<std::string> keys(n);
-            std::vector<std::shared_ptr<const std::string>> hit(n);
-            exec::parallel_for(
-                n, config_.parallelism,
-                [&](const exec::shard_range& r) {
-                    request cell;
-                    cell.op = op_code::chiplet;
-                    chiplet_request point = q.base;
-                    point.chiplets = split;
-                    for (std::size_t i = r.begin; i < r.end; ++i) {
-                        const chiplet::chiplet_spec spec =
-                            chiplet::scaled_to_total(base, xs[i]);
-                        point.logic_area_mm2 = spec.logic_area_mm2;
-                        point.memory_area_mm2 = spec.memory_area_mm2;
-                        point.io_area_mm2 = spec.io_area_mm2;
-                        cell.payload = point;
-                        canonical_key_into(cell, keys[i]);
-                    }
-                },
-                cancel);
-            std::vector<double> missing_xs;
-            std::vector<std::size_t> lane_of;
-            missing_xs.reserve(n);
-            lane_of.reserve(n);
-            for (std::size_t i = 0; i < n; ++i) {
-                hit[i] = cache_.get_if_present(keys[i]);
-                if (hit[i] == nullptr) {
-                    missing_xs.push_back(xs[i]);
-                    lane_of.push_back(i);
-                }
-            }
-            const std::size_t m = missing_xs.size();
-            std::vector<double> missing_out(m);
-            std::vector<chiplet::chiplet_breakdown> breakdowns(m);
-            exec::parallel_for(
-                m, config_.parallelism,
-                [&](const exec::shard_range& r) {
-                    chiplet::batch::cost_per_good_system(
-                        base, split, missing_xs.data() + r.begin,
-                        missing_out.data() + r.begin,
-                        breakdowns.data() + r.begin, r.end - r.begin);
-                },
-                cancel);
-            for (std::size_t j = 0; j < m; ++j) {
-                out[lane_of[j]] = missing_out[j];
-                if (std::isnan(missing_out[j])) {
-                    continue;  // infeasible cells are never cached
-                }
-                try {
-                    cache_.put(keys[lane_of[j]],
-                               json::dump(chiplet_result_json(
-                                   breakdowns[j], q.base.substrate)));
-                } catch (const std::exception&) {
-                    // Allocation failure caching a side value: skip.
-                }
-            }
-            for (std::size_t i = 0; i < n; ++i) {
-                if (hit[i] == nullptr) {
-                    continue;
-                }
-                // NaN cells never enter the cache, so a hit always
-                // carries a finite metric; shortest-round-trip doubles
-                // make parse -> metric the identical cell value.
-                out[i] = std::numeric_limits<double>::quiet_NaN();
-                try {
-                    const json::value res = json::parse(*hit[i]);
-                    const json::value* metric = res.as_object().find(
-                        "cost_per_good_system_usd");
-                    if (metric != nullptr && metric->is_number()) {
-                        out[i] = metric->as_number();
-                    }
-                } catch (const std::exception&) {
-                    // Defensive: cached values always parse.
-                }
-            }
-        } else {
+        if (!lane_cache) {
             const bool fm = config_.fast_math;
             exec::parallel_for(
                 n, config_.parallelism,
@@ -1314,24 +1070,82 @@ json::value engine::eval_partition_explore(
                     if (fm) {
                         chiplet::batch::cost_per_good_system_fast(
                             base, split, xs.data() + r.begin,
-                            out + r.begin, r.end - r.begin);
+                            row + r.begin, r.end - r.begin);
                     } else {
                         chiplet::batch::cost_per_good_system(
                             base, split, xs.data() + r.begin,
-                            out + r.begin, r.end - r.begin);
+                            row + r.begin, r.end - r.begin);
                     }
                 },
                 cancel);
+            continue;
+        }
+        std::vector<std::string> keys(n);
+        exec::parallel_for(
+            n, config_.parallelism,
+            [&](const exec::shard_range& r) {
+                request cell;
+                cell.op = op_code::chiplet;
+                chiplet_request point = q.base;
+                point.chiplets = split;
+                for (std::size_t i = r.begin; i < r.end; ++i) {
+                    const chiplet::chiplet_spec spec =
+                        chiplet::scaled_to_total(base, xs[i]);
+                    point.logic_area_mm2 = spec.logic_area_mm2;
+                    point.memory_area_mm2 = spec.memory_area_mm2;
+                    point.io_area_mm2 = spec.io_area_mm2;
+                    cell.payload = point;
+                    canonical_key_into(cell, keys[i]);
+                }
+            },
+            cancel);
+        std::vector<double> missing_xs;
+        std::vector<std::size_t> lane_of;
+        missing_xs.reserve(n);
+        lane_of.reserve(n);
+        for (std::size_t i = 0; i < n; ++i) {
+            if (const auto hit = cache_.get_if_present(keys[i])) {
+                row[i] = cached_metric(*hit, "cost_per_good_system_usd");
+            } else {
+                missing_xs.push_back(xs[i]);
+                lane_of.push_back(i);
+            }
+        }
+        const std::size_t m = missing_xs.size();
+        std::vector<double> missing_out(m);
+        std::vector<chiplet::chiplet_breakdown> breakdowns(m);
+        exec::parallel_for(
+            m, config_.parallelism,
+            [&](const exec::shard_range& r) {
+                chiplet::batch::cost_per_good_system(
+                    base, split, missing_xs.data() + r.begin,
+                    missing_out.data() + r.begin,
+                    breakdowns.data() + r.begin, r.end - r.begin);
+            },
+            cancel);
+        std::string body;
+        for (std::size_t j = 0; j < m; ++j) {
+            row[lane_of[j]] = missing_out[j];
+            if (std::isnan(missing_out[j])) {
+                continue;  // infeasible cells are never cached
+            }
+            try {
+                body.clear();
+                (void)chiplet_into(breakdowns[j], q.base.substrate, body);
+                cache_.put(keys[lane_of[j]], body);
+            } catch (const std::exception&) {
+                // Allocation failure caching a side value: skip.
+            }
         }
     }
 
-    // Shared post-processing: per grid point, the cheapest feasible
-    // split (ties break to the coarser split, so the monolithic
-    // baseline wins exact draws), and the first area where a real
-    // multi-die split beats it — the published crossover.
-    json::array best_split;
-    best_split.reserve(n);
-    json::value crossover{nullptr};
+    // Per grid point, the cheapest feasible split (ties break to the
+    // coarser split, so the monolithic baseline wins exact draws), and
+    // the first area where a real multi-die split beats it — the
+    // published crossover.
+    std::vector<double> best_split(n, no_metric);
+    bool crossed = false;
+    double crossover = no_metric;
     for (std::size_t i = 0; i < n; ++i) {
         int best = 0;
         double best_cost = 0.0;
@@ -1345,47 +1159,34 @@ json::value engine::eval_partition_explore(
                 best_cost = c;
             }
         }
-        best_split.push_back(best == 0
-                                 ? json::value{nullptr}
-                                 : json::value{static_cast<double>(best)});
-        if (crossover.is_null() && best > 1) {
-            crossover = json::value{xs[i]};
+        if (best != 0) {
+            best_split[i] = static_cast<double>(best);
+        }
+        if (!crossed && best > 1) {
+            crossed = true;
+            crossover = xs[i];
         }
     }
 
-    json::array xs_json;
-    xs_json.reserve(n);
-    for (const double x : xs) {
-        xs_json.emplace_back(x);
-    }
-    json::array splits_json;
-    splits_json.reserve(splits.size());
-    for (const int split : splits) {
-        splits_json.emplace_back(static_cast<double>(split));
-    }
-    json::array ys;
-    ys.reserve(splits.size());
+    object_writer w{out};
+    w.text("metric", "cost_per_good_system_usd");
+    w.text("scale", q.scale);
+    w.numbers("splits", std::vector<double>(splits.begin(), splits.end()));
+    w.numbers("xs", xs);
+    std::string& ys = w.key("ys");
+    ys += '[';
     for (std::size_t s = 0; s < splits.size(); ++s) {
-        json::array row;
-        row.reserve(n);
-        for (std::size_t i = 0; i < n; ++i) {
-            row.push_back(std::isnan(cost[s][i])
-                              ? json::value{nullptr}
-                              : json::value{cost[s][i]});
+        if (s != 0) {
+            ys += ',';
         }
-        ys.emplace_back(std::move(row));
+        numbers_into(cost[s], ys);
     }
-
-    json::object o;
-    o.set("metric", "cost_per_good_system_usd");
-    o.set("scale", q.scale);
-    o.set("splits", std::move(splits_json));
-    o.set("xs", std::move(xs_json));
-    o.set("ys", std::move(ys));
-    o.set("best_split", std::move(best_split));
-    o.set("crossover_area_mm2", std::move(crossover));
-    return json::value{std::move(o)};
+    ys += ']';
+    w.numbers("best_split", best_split);
+    w.number("crossover_area_mm2", crossover);
+    w.close();
 }
+
 
 namespace {
 
@@ -1402,6 +1203,20 @@ json::value snapshot_stats_json(const engine::snapshot_stats& s) {
     o.set("last_write_seconds", s.last_write_seconds);
     o.set("last_restore_seconds", s.last_restore_seconds);
     o.set("age_seconds", s.age_seconds);
+    return json::value{std::move(o)};
+}
+
+/// Flight-recorder summary shared by stats and /statusz.
+json::value flight_stats_json() {
+    const obs::flight_recorder::stats f =
+        obs::flight_recorder::instance().snapshot();
+    json::object o;
+    o.set("enabled", f.enabled);
+    o.set("capacity", static_cast<double>(f.capacity));
+    o.set("threads", static_cast<double>(f.threads));
+    o.set("appended", static_cast<double>(f.appended));
+    o.set("dropped", static_cast<double>(f.dropped));
+    o.set("anomalies", static_cast<double>(f.anomalies));
     return json::value{std::move(o)};
 }
 
@@ -1459,16 +1274,7 @@ json::value engine::stats_json() {
                      cache_shed_entries_.load(std::memory_order_relaxed)));
     o.set("overload", json::value{std::move(overload)});
 
-    const obs::flight_recorder::stats f =
-        obs::flight_recorder::instance().snapshot();
-    json::object flight;
-    flight.set("enabled", f.enabled);
-    flight.set("capacity", static_cast<double>(f.capacity));
-    flight.set("threads", static_cast<double>(f.threads));
-    flight.set("appended", static_cast<double>(f.appended));
-    flight.set("dropped", static_cast<double>(f.dropped));
-    flight.set("anomalies", static_cast<double>(f.anomalies));
-    o.set("flight", json::value{std::move(flight)});
+    o.set("flight", flight_stats_json());
     o.set("snapshot", snapshot_stats_json(snapshot_info()));
     return json::value{std::move(o)};
 }
@@ -1602,22 +1408,12 @@ json::value engine::statusz_json() const {
                  static_cast<double>(
                      deadline_exceeded_.load(std::memory_order_relaxed)));
 
-    const obs::flight_recorder::stats f =
-        obs::flight_recorder::instance().snapshot();
-    json::object flight;
-    flight.set("enabled", f.enabled);
-    flight.set("capacity", static_cast<double>(f.capacity));
-    flight.set("threads", static_cast<double>(f.threads));
-    flight.set("appended", static_cast<double>(f.appended));
-    flight.set("dropped", static_cast<double>(f.dropped));
-    flight.set("anomalies", static_cast<double>(f.anomalies));
-
     json::object o;
     o.set("config", json::value{std::move(config)});
     o.set("limits", json::value{std::move(limits)});
     o.set("cache", json::value{std::move(cache)});
     o.set("overload", json::value{std::move(overload)});
-    o.set("flight", json::value{std::move(flight)});
+    o.set("flight", flight_stats_json());
     o.set("snapshot", snapshot_stats_json(snapshot_info()));
     o.set("parse_errors",
           static_cast<double>(parse_errors_.load(std::memory_order_relaxed)));
@@ -1643,62 +1439,54 @@ std::string engine::prometheus_text() const {
         obs::prometheus_sample(out, name, std::uint64_t{1});
     }
 
+    const auto metric = [&out](std::string_view name, std::string_view type,
+                               std::string_view help, auto value) {
+        obs::prometheus_header(out, name, type, help);
+        obs::prometheus_sample(out, name, value);
+    };
+    const auto count = [](auto v) { return static_cast<std::uint64_t>(v); };
+    const auto relaxed = [](const std::atomic<std::uint64_t>& v) {
+        return v.load(std::memory_order_relaxed);
+    };
+
     const memo_cache::stats c = cache_.snapshot();
-    obs::prometheus_header(out, "silicon_cache_hits_total", "counter",
-                           "Memoization-cache hits");
-    obs::prometheus_sample(out, "silicon_cache_hits_total", c.hits);
-    obs::prometheus_header(out, "silicon_cache_misses_total", "counter",
-                           "Memoization-cache misses");
-    obs::prometheus_sample(out, "silicon_cache_misses_total", c.misses);
-    obs::prometheus_header(out, "silicon_cache_evictions_total", "counter",
-                           "Memoization-cache LRU evictions");
-    obs::prometheus_sample(out, "silicon_cache_evictions_total",
-                           c.evictions);
-    obs::prometheus_header(out, "silicon_cache_entries", "gauge",
-                           "Resident memoization-cache entries");
-    obs::prometheus_sample(out, "silicon_cache_entries",
-                           static_cast<std::uint64_t>(c.entries));
-    obs::prometheus_header(out, "silicon_cache_capacity", "gauge",
-                           "Configured memoization-cache entry budget");
-    obs::prometheus_sample(out, "silicon_cache_capacity",
-                           static_cast<std::uint64_t>(c.capacity));
-    obs::prometheus_header(out, "silicon_cache_hit_ratio", "gauge",
-                           "hits / (hits + misses) since start");
+    metric("silicon_cache_hits_total", "counter", "Memoization-cache hits",
+           c.hits);
+    metric("silicon_cache_misses_total", "counter",
+           "Memoization-cache misses", c.misses);
+    metric("silicon_cache_evictions_total", "counter",
+           "Memoization-cache LRU evictions", c.evictions);
+    metric("silicon_cache_entries", "gauge",
+           "Resident memoization-cache entries", count(c.entries));
+    metric("silicon_cache_capacity", "gauge",
+           "Configured memoization-cache entry budget", count(c.capacity));
     const std::uint64_t lookups = c.hits + c.misses;
-    obs::prometheus_sample(
-        out, "silicon_cache_hit_ratio",
-        lookups == 0 ? 0.0
-                     : static_cast<double>(c.hits) /
-                           static_cast<double>(lookups));
+    metric("silicon_cache_hit_ratio", "gauge",
+           "hits / (hits + misses) since start",
+           lookups == 0 ? 0.0
+                        : static_cast<double>(c.hits) /
+                              static_cast<double>(lookups));
     obs::prometheus_header(out, "silicon_cache_shard_entries", "gauge",
                            "Resident entries per cache shard");
     for (std::size_t i = 0; i < c.shard_entries.size(); ++i) {
         std::string name = "silicon_cache_shard_entries{shard=\"";
         name += std::to_string(i);
         name += "\"}";
-        obs::prometheus_sample(
-            out, name, static_cast<std::uint64_t>(c.shard_entries[i]));
+        obs::prometheus_sample(out, name, count(c.shard_entries[i]));
     }
 
-    obs::prometheus_header(out, "silicon_serve_parse_errors_total",
-                           "counter", "Lines that failed JSON parsing");
-    obs::prometheus_sample(out, "silicon_serve_parse_errors_total",
-                           parse_errors_.load(std::memory_order_relaxed));
-    obs::prometheus_header(out, "silicon_serve_dedup_hits_total", "counter",
-                           "In-batch duplicate lines coalesced behind a "
-                           "representative evaluation");
-    obs::prometheus_sample(out, "silicon_serve_dedup_hits_total",
-                           dedup_hits_.load(std::memory_order_relaxed));
-    obs::prometheus_header(out, "silicon_serve_arena_bytes_total", "counter",
-                           "Arena bytes consumed by request-line parses");
-    obs::prometheus_sample(out, "silicon_serve_arena_bytes_total",
-                           arena_bytes_.load(std::memory_order_relaxed));
-    obs::prometheus_header(out, "silicon_serve_parallelism", "gauge",
-                           "Resolved batch fan-out width");
-    obs::prometheus_sample(
-        out, "silicon_serve_parallelism",
-        static_cast<std::uint64_t>(
-            exec::resolve_parallelism(config_.parallelism)));
+    metric("silicon_serve_parse_errors_total", "counter",
+           "Lines that failed JSON parsing", relaxed(parse_errors_));
+    metric("silicon_serve_dedup_hits_total", "counter",
+           "In-batch duplicate lines coalesced behind a representative "
+           "evaluation",
+           relaxed(dedup_hits_));
+    metric("silicon_serve_arena_bytes_total", "counter",
+           "Arena bytes consumed by request-line parses",
+           relaxed(arena_bytes_));
+    metric("silicon_serve_parallelism", "gauge",
+           "Resolved batch fan-out width",
+           count(exec::resolve_parallelism(config_.parallelism)));
 
     obs::prometheus_header(out, "silicon_serve_rejected_total", "counter",
                            "Lines rejected by admission control, by reason");
@@ -1709,95 +1497,52 @@ std::string engine::prometheus_text() const {
         name += "\"}";
         obs::prometheus_sample(out, name, admission_.rejected(reason));
     }
-    obs::prometheus_header(out, "silicon_serve_deadline_exceeded_total",
-                           "counter",
-                           "Lines answered deadline_exceeded");
-    obs::prometheus_sample(out, "silicon_serve_deadline_exceeded_total",
-                           deadline_exceeded_.load(std::memory_order_relaxed));
-    obs::prometheus_header(out, "silicon_serve_inflight_bytes", "gauge",
-                           "Request bytes currently admitted against the "
-                           "in-flight budget");
-    obs::prometheus_sample(out, "silicon_serve_inflight_bytes",
-                           admission_.inflight_bytes());
-    obs::prometheus_header(out, "silicon_serve_hot_declines_total", "counter",
-                           "Line-arena releases forced by the arena byte "
-                           "budget");
-    obs::prometheus_sample(out, "silicon_serve_hot_declines_total",
-                           hot_declines_.load(std::memory_order_relaxed));
-    obs::prometheus_header(out, "silicon_serve_cache_shed_entries_total",
-                           "counter",
-                           "Memoization-cache entries shed under overload");
-    obs::prometheus_sample(
-        out, "silicon_serve_cache_shed_entries_total",
-        cache_shed_entries_.load(std::memory_order_relaxed));
+    metric("silicon_serve_deadline_exceeded_total", "counter",
+           "Lines answered deadline_exceeded", relaxed(deadline_exceeded_));
+    metric("silicon_serve_inflight_bytes", "gauge",
+           "Request bytes currently admitted against the in-flight budget",
+           admission_.inflight_bytes());
+    metric("silicon_serve_hot_declines_total", "counter",
+           "Line-arena releases forced by the arena byte budget",
+           relaxed(hot_declines_));
+    metric("silicon_serve_cache_shed_entries_total", "counter",
+           "Memoization-cache entries shed under overload",
+           relaxed(cache_shed_entries_));
 
     const snapshot_stats snap = snapshot_info();
-    obs::prometheus_header(out, "silicon_cache_snapshot_writes_total",
-                           "counter",
-                           "Cache snapshots written successfully");
-    obs::prometheus_sample(out, "silicon_cache_snapshot_writes_total",
-                           snap.writes);
-    obs::prometheus_header(out,
-                           "silicon_cache_snapshot_write_failures_total",
-                           "counter", "Cache snapshot write attempts that "
-                                      "failed (file kept intact)");
-    obs::prometheus_sample(out,
-                           "silicon_cache_snapshot_write_failures_total",
-                           snap.write_failures);
-    obs::prometheus_header(out, "silicon_cache_snapshot_restores_total",
-                           "counter",
-                           "Cache snapshots restored at boot");
-    obs::prometheus_sample(out, "silicon_cache_snapshot_restores_total",
-                           snap.restores);
-    obs::prometheus_header(
-        out, "silicon_cache_snapshot_restore_failures_total", "counter",
-        "Snapshot restores that degraded to a cold start (corruption, "
-        "version or fingerprint mismatch)");
-    obs::prometheus_sample(out,
-                           "silicon_cache_snapshot_restore_failures_total",
-                           snap.restore_failures);
-    obs::prometheus_header(out, "silicon_cache_snapshot_restored_entries",
-                           "gauge", "Entries loaded from snapshots");
-    obs::prometheus_sample(out, "silicon_cache_snapshot_restored_entries",
-                           snap.restored_entries);
-    obs::prometheus_header(out, "silicon_cache_snapshot_last_bytes",
-                           "gauge", "Size of the last written snapshot");
-    obs::prometheus_sample(out, "silicon_cache_snapshot_last_bytes",
-                           snap.last_bytes);
-    obs::prometheus_header(out, "silicon_cache_snapshot_last_entries",
-                           "gauge", "Entries in the last written snapshot");
-    obs::prometheus_sample(out, "silicon_cache_snapshot_last_entries",
-                           snap.last_entries);
-    obs::prometheus_header(
-        out, "silicon_cache_snapshot_last_write_seconds", "gauge",
-        "Duration of the last snapshot write (serialize + fsync + rename)");
-    obs::prometheus_sample(out, "silicon_cache_snapshot_last_write_seconds",
-                           snap.last_write_seconds);
-    obs::prometheus_header(out,
-                           "silicon_cache_snapshot_last_restore_seconds",
-                           "gauge",
-                           "Duration of the last snapshot restore attempt");
-    obs::prometheus_sample(out,
-                           "silicon_cache_snapshot_last_restore_seconds",
-                           snap.last_restore_seconds);
-    obs::prometheus_header(out, "silicon_cache_snapshot_age_seconds",
-                           "gauge",
-                           "Seconds since the last successful snapshot "
-                           "write (-1 = never)");
-    obs::prometheus_sample(out, "silicon_cache_snapshot_age_seconds",
-                           snap.age_seconds);
+    metric("silicon_cache_snapshot_writes_total", "counter",
+           "Cache snapshots written successfully", snap.writes);
+    metric("silicon_cache_snapshot_write_failures_total", "counter",
+           "Cache snapshot write attempts that failed (file kept intact)",
+           snap.write_failures);
+    metric("silicon_cache_snapshot_restores_total", "counter",
+           "Cache snapshots restored at boot", snap.restores);
+    metric("silicon_cache_snapshot_restore_failures_total", "counter",
+           "Snapshot restores that degraded to a cold start (corruption, "
+           "version or fingerprint mismatch)",
+           snap.restore_failures);
+    metric("silicon_cache_snapshot_restored_entries", "gauge",
+           "Entries loaded from snapshots", snap.restored_entries);
+    metric("silicon_cache_snapshot_last_bytes", "gauge",
+           "Size of the last written snapshot", snap.last_bytes);
+    metric("silicon_cache_snapshot_last_entries", "gauge",
+           "Entries in the last written snapshot", snap.last_entries);
+    metric("silicon_cache_snapshot_last_write_seconds", "gauge",
+           "Duration of the last snapshot write (serialize + fsync + rename)",
+           snap.last_write_seconds);
+    metric("silicon_cache_snapshot_last_restore_seconds", "gauge",
+           "Duration of the last snapshot restore attempt",
+           snap.last_restore_seconds);
+    metric("silicon_cache_snapshot_age_seconds", "gauge",
+           "Seconds since the last successful snapshot write (-1 = never)",
+           snap.age_seconds);
 
-    obs::prometheus_header(out, "silicon_partition_pricer_hits_total",
-                           "counter",
-                           "Partition-pricer mask-memo lookups served "
-                           "from the priced table");
-    obs::prometheus_sample(out, "silicon_partition_pricer_hits_total",
-                           opt::partition_pricer_hits());
-    obs::prometheus_header(out, "silicon_partition_pricer_entries_total",
-                           "counter",
-                           "Subset masks priced into the memo table");
-    obs::prometheus_sample(out, "silicon_partition_pricer_entries_total",
-                           opt::partition_pricer_entries());
+    metric("silicon_partition_pricer_hits_total", "counter",
+           "Partition-pricer mask-memo lookups served from the priced table",
+           opt::partition_pricer_hits());
+    metric("silicon_partition_pricer_entries_total", "counter",
+           "Subset masks priced into the memo table",
+           opt::partition_pricer_entries());
 
     // Process-global metrics (exec pool counters/gauges).
     out += obs::metrics_registry::global().to_prometheus();
@@ -1966,7 +1711,8 @@ void engine::serve_line(
 
         if (req.op == op_code::stats) {
             // Stats are a live snapshot: never cached, never golden.
-            st.body = json::dump(stats_json());
+            st.body.clear();
+            (void)result_into(req, st.body, cancel);
         } else {
             {
                 const obs::trace_span span{"serve.cache", "serve"};
@@ -1977,17 +1723,15 @@ void engine::serve_line(
             if (hit == nullptr) {
                 eval_fault_site();
                 {
-                    // Closed-form point ops serialize into the reused
-                    // buffer (no allocation at cache capacity 0); the
-                    // rest evaluate the request parsed above.
+                    // The endpoint writer serializes into the reused
+                    // buffer (no allocation at cache capacity 0 for the
+                    // closed-form point ops).
                     const obs::trace_span span{"serve.exec", "serve"};
                     st.body.clear();
-                    if (!cold_result_into(req, st.body)) {
-                        if (req.op == op_code::sweep) {
-                            bind_sweep_target(st.parsed);
-                        }
-                        st.body = json::dump(evaluate_impl(req, cancel));
+                    if (req.op == op_code::sweep) {
+                        bind_sweep_target(st.parsed);
                     }
+                    (void)result_into(req, st.body, cancel);
                 }
                 t_evaluated = std::chrono::steady_clock::now();
                 evaluated = true;
@@ -2045,10 +1789,17 @@ void engine::serve_line(
     const std::uint64_t total_ns = ns_between(start, t_done);
     // Stage breakdown (all allocation-free): parse covers
     // parse+canonicalize, cache the probe, exec the miss evaluation,
-    // serialize the envelope.
+    // serialize the envelope; 0 for a stage the line never reached.
     const auto t_served = evaluated ? t_evaluated
                           : probed  ? t_probed
                                     : t_parsed;
+    const bool serialized = parsed && !failed;
+    const std::uint64_t parse_ns = parsed ? ns_between(start, t_parsed) : 0;
+    const std::uint64_t cache_ns = probed ? ns_between(t_parsed, t_probed) : 0;
+    const std::uint64_t exec_ns =
+        evaluated ? ns_between(t_probed, t_evaluated) : 0;
+    const std::uint64_t serialize_ns =
+        serialized ? ns_between(t_served, t_done) : 0;
     if (op_known) {
         endpoint_metrics& m = metrics_.at(op);
         m.requests.fetch_add(1, std::memory_order_relaxed);
@@ -2060,16 +1811,16 @@ void engine::serve_line(
         }
         m.latency.record(total_ns);
         if (parsed) {
-            m.stage_parse.record(ns_between(start, t_parsed));
+            m.stage_parse.record(parse_ns);
         }
         if (probed) {
-            m.stage_cache.record(ns_between(t_parsed, t_probed));
+            m.stage_cache.record(cache_ns);
         }
         if (evaluated) {
-            m.stage_exec.record(ns_between(t_probed, t_evaluated));
+            m.stage_exec.record(exec_ns);
         }
-        if (parsed && !failed) {
-            m.stage_serialize.record(ns_between(t_served, t_done));
+        if (serialized) {
+            m.stage_serialize.record(serialize_ns);
         }
         if (trace != nullptr) {
             note_tail_exemplar(m, total_ns, trace->string);
@@ -2086,18 +1837,10 @@ void engine::serve_line(
         obs::assign_field(rec->code, failed ? std::string_view{err_code}
                                             : std::string_view{"ok"});
         rec->cache_hit = hit != nullptr;
-        if (parsed) {
-            rec->parse_us = ns_to_us_u32(ns_between(start, t_parsed));
-        }
-        if (probed) {
-            rec->cache_us = ns_to_us_u32(ns_between(t_parsed, t_probed));
-        }
-        if (evaluated) {
-            rec->exec_us = ns_to_us_u32(ns_between(t_probed, t_evaluated));
-        }
-        if (parsed && !failed) {
-            rec->serialize_us = ns_to_us_u32(ns_between(t_served, t_done));
-        }
+        rec->parse_us = ns_to_us_u32(parse_ns);
+        rec->cache_us = ns_to_us_u32(cache_ns);
+        rec->exec_us = ns_to_us_u32(exec_ns);
+        rec->serialize_us = ns_to_us_u32(serialize_ns);
         rec->total_us = ns_to_us_u32(total_ns);
         if (have_deadline) {
             rec->deadline_slack_us =
@@ -2205,16 +1948,24 @@ std::vector<std::string> engine::handle_batch(
         return record_flight ? &recs[i] : nullptr;
     };
 
+    // Serves every line `pick` selects, fanned across the pool.
+    const auto serve_lines = [&](auto&& pick) {
+        exec::parallel_for(
+            lines.size(), config_.parallelism,
+            [&](const exec::shard_range& r) {
+                for (std::size_t i = r.begin; i < r.end; ++i) {
+                    if (pick(i)) {
+                        serve_line(lines[i], responses[i], batch_deadline,
+                                   rec_at(i));
+                    }
+                }
+            });
+    };
+
     // Intra-batch dedup needs the cache: a twin answers from the entry
     // its representative left behind.
     if (config_.cache_capacity == 0 || lines.size() < 2) {
-        exec::parallel_for(lines.size(), config_.parallelism,
-                           [&](const exec::shard_range& r) {
-                               for (std::size_t i = r.begin; i < r.end; ++i) {
-                                   serve_line(lines[i], responses[i],
-                                              batch_deadline, rec_at(i));
-                               }
-                           });
+        serve_lines([](std::size_t) { return true; });
         flush_records();
         return responses;
     }
@@ -2266,30 +2017,14 @@ std::vector<std::string> engine::handle_batch(
     dedup_hits_.fetch_add(twins, std::memory_order_relaxed);
 
     // Phase B: evaluate representatives and non-dedupable lines.
-    exec::parallel_for(lines.size(), config_.parallelism,
-                       [&](const exec::shard_range& r) {
-                           for (std::size_t i = r.begin; i < r.end; ++i) {
-                               if (rep[i] == npos) {
-                                   serve_line(lines[i], responses[i],
-                                              batch_deadline, rec_at(i));
-                               }
-                           }
-                       });
+    serve_lines([&](std::size_t i) { return rep[i] == npos; });
 
     // Phase C: twins.  A successful representative left its result in
     // the cache, so these are warm (allocation-free) hits that splice
     // each line's own id; a representative that
     // *errored* cached nothing and each twin re-evaluates individually
     // — error responses are never coalesced.
-    exec::parallel_for(lines.size(), config_.parallelism,
-                       [&](const exec::shard_range& r) {
-                           for (std::size_t i = r.begin; i < r.end; ++i) {
-                               if (rep[i] != npos) {
-                                   serve_line(lines[i], responses[i],
-                                              batch_deadline, rec_at(i));
-                               }
-                           }
-                       });
+    serve_lines([&](std::size_t i) { return rep[i] != npos; });
     flush_records();
     return responses;
 }

@@ -26,9 +26,11 @@
 //     monotonic arena (json_arena.hpp), by the one schema walker
 //     (request_fast.hpp), which also emits the canonical cache key.
 //     That single parse answers cache hits, misses, stats and every
-//     error envelope; a warm hit, and a closed-form miss at cache
-//     capacity 0, perform zero heap allocations — the envelope is
-//     spliced into a reused buffer (DESIGN.md §10).
+//     error envelope.  A miss runs the one result writer per endpoint
+//     (`result_into`), which appends the result object straight into a
+//     reused buffer — no JSON tree.  A warm hit, and a point miss at
+//     cache capacity 0 whose library evaluation allocates nothing,
+//     perform zero heap allocations (DESIGN.md §10).
 //   * Intra-batch dedup: identical canonical keys within one
 //     `handle_batch` call evaluate once (when the cache is enabled);
 //     the twins answer from the cache after the representative
@@ -36,12 +38,15 @@
 //     representative failed re-evaluates individually, and every
 //     response keeps its own `id`.
 //   * SoA sweep kernels: eligible sweep targets (scenario #1/#2, every
-//     yield model) and partition_explore evaluate on the
-//     structure-of-arrays batch kernels in yield/batch.hpp,
-//     cost/batch.hpp and chiplet/batch.hpp, each lane bit-identical to
-//     its point request; other targets with a swept double parameter
-//     use a typed per-lane evaluation that skips the per-point JSON
-//     round trip.
+//     yield model, over a double parameter) and partition_explore
+//     evaluate on the structure-of-arrays batch kernels in
+//     yield/batch.hpp, cost/batch.hpp and chiplet/batch.hpp, each lane
+//     bit-identical to its point request.  Every other sweep (cost_tr,
+//     gross_die, chiplet and mc_yield targets, swept integer-valued
+//     parameters) takes the one typed per-lane path: each lane writes
+//     its grid value into a copy of the target request and runs the
+//     endpoint writer, and is null exactly when its point request
+//     would fail.
 //   * Parallel kernels: endpoints that are themselves parallel
 //     (mc_yield) inherit the engine parallelism; nested use inside a
 //     batch degrades to serial per the exec engine rules, with
@@ -119,9 +124,14 @@ public:
         const std::vector<std::string>& lines);
 
     /// Evaluate a parsed request directly, bypassing cache, metrics
-    /// and the response envelope — the reference path golden tests
-    /// compare cached/batched responses against.  Throws on
+    /// and the response envelope, and write its result body into `out`
+    /// (cleared first) — the bytes a response's `result` carries, from
+    /// the same endpoint writer the line path uses.  Throws on
     /// infeasible inputs exactly like the underlying library.
+    void evaluate_into(const request& req, std::string& out);
+
+    /// `evaluate_into` parsed back into a document: the reference path
+    /// golden tests compare cached/batched responses against.
     [[nodiscard]] json::value evaluate(const request& req);
 
     /// Prometheus text exposition of everything observable about this
@@ -207,24 +217,21 @@ public:
     [[nodiscard]] snapshot_stats snapshot_info() const;
 
 private:
-    /// Cached result JSON for a request (everything except `stats`):
-    /// the per-point path of a generic sweep.
-    [[nodiscard]] std::shared_ptr<const std::string> result_for(
-        const request& req, const exec::cancel_token* cancel);
-
-    /// `evaluate` with an optional cooperative deadline token threaded
-    /// into the cancellable endpoints (sweep, mc_yield) plus the
-    /// structural too_large budget checks.
-    [[nodiscard]] json::value evaluate_impl(const request& req,
-                                            const exec::cancel_token* cancel);
+    /// The one result writer: appends the result body of `req` to `out`
+    /// and returns the endpoint's primary metric (NaN when it has
+    /// none).  Runs the structural too_large budget checks first and
+    /// threads the optional deadline token into the cancellable
+    /// endpoints (sweep, mc_yield, partition_explore).
+    double result_into(const request& req, std::string& out,
+                       const exec::cancel_token* cancel);
 
     /// The one line path (parse once, then hit, evaluate or error),
-    /// shared by the single-line and batch entry points (admission against the in-flight byte budget is the
-    /// caller's job — once per public entry, never per batch line).
-    /// `rec` non-null = the flight recorder is enabled and the caller
-    /// will append the filled record *in line order* (which is what
-    /// keeps dumps byte-identical at any thread count) and fire the
-    /// anomaly trigger afterwards.
+    /// shared by the single-line and batch entry points (admission
+    /// against the in-flight byte budget is the caller's job — once per
+    /// public entry, never per batch line).  `rec` non-null = the flight
+    /// recorder is enabled and the caller will append the filled record
+    /// *in line order* (which is what keeps dumps byte-identical at any
+    /// thread count) and fire the anomaly trigger afterwards.
     void serve_line(std::string_view line, std::string& out,
                     const std::chrono::steady_clock::time_point*
                         batch_deadline,
@@ -233,20 +240,23 @@ private:
     /// Shed cache shards if configured (called on overloaded rejects).
     void on_overload();
 
-    [[nodiscard]] json::value eval_sweep(const sweep_request& q,
-                                         const exec::cancel_token* cancel);
-    /// SoA-kernel / typed per-lane sweep evaluation; false = target
-    /// shape not eligible, use the generic per-point path.
-    bool eval_sweep_fast(const sweep_request& q,
-                         const std::vector<double>& xs,
-                         std::vector<json::value>& ys,
-                         const exec::cancel_token* cancel);
+    void sweep_into(const sweep_request& q, std::string& out,
+                    const exec::cancel_token* cancel);
+    /// Sweep lanes on the SoA kernels (scenario #1/#2 and every yield
+    /// model over a double parameter); false = not kernel-eligible.
+    bool kernel_lanes(const sweep_request& q, const std::vector<double>& xs,
+                      std::vector<double>& ys,
+                      const exec::cancel_token* cancel);
+    /// Sweep lanes evaluated one point request at a time (every other
+    /// target, and swept integer-valued parameters).
+    void point_lanes(const sweep_request& q, const std::vector<double>& xs,
+                     std::vector<double>& ys,
+                     const exec::cancel_token* cancel);
     /// Monolithic-vs-N-way split exploration over a total-area grid on
     /// the SoA chiplet kernel; each cell is bit-identical to its
     /// `chiplet` point request.
-    [[nodiscard]] json::value eval_partition_explore(
-        const partition_explore_request& q,
-        const exec::cancel_token* cancel);
+    void explore_into(const partition_explore_request& q, std::string& out,
+                      const exec::cancel_token* cancel);
     [[nodiscard]] json::value stats_json();
 
     engine_config config_;

@@ -211,7 +211,9 @@ struct request;
 /// null.  Targets `sweep` and `stats` are rejected.
 struct sweep_request {
     std::shared_ptr<const request> target;  ///< parsed target (canonical)
-    json::object target_params;             ///< raw params for re-binding
+    /// The target's canonical parameters, filled by `parse_request`
+    /// for request_to_json; the engine evaluates `target` alone.
+    json::object target_params;
     std::string param;
     double from = 0.0;
     double to = 1.0;

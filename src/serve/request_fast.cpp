@@ -5,6 +5,7 @@
 #include <array>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -15,6 +16,26 @@ namespace silicon::serve {
 namespace {
 
 using json::aview;
+
+// ---------------------------------------------------------------------------
+// Integer-valued parameters: the schema's checks, shared by the parser and
+// the sweep-lane setter (set_numeric_param), so a lane is null exactly
+// when its point request fails validation.
+// ---------------------------------------------------------------------------
+
+bool is_int32(double v) {
+    return v == std::floor(v) && std::abs(v) <= 2147483647.0;
+}
+
+bool is_uint53(double v) {
+    return v == std::floor(v) && v >= 0.0 && v <= 9007199254740992.0;
+}
+
+bool dies_in_range(int dies) { return dies >= 1 && dies <= 100000000; }
+
+bool chiplets_in_range(int chiplets) {
+    return chiplets >= 1 && chiplets <= 16;
+}
 
 // ---------------------------------------------------------------------------
 // Validating field access over an arena view
@@ -41,8 +62,7 @@ class fast_reader {
         if (v == nullptr) {
             return fallback;
         }
-        if (!v->is_number() || v->number != std::floor(v->number) ||
-            std::abs(v->number) > 2147483647.0) {
+        if (!v->is_number() || !is_int32(v->number)) {
             fail_type(key, "an integer");
         }
         return static_cast<int>(v->number);
@@ -54,8 +74,7 @@ class fast_reader {
         if (v == nullptr) {
             return fallback;
         }
-        if (!v->is_number() || v->number != std::floor(v->number) ||
-            v->number < 0.0 || v->number > 9007199254740992.0) {
+        if (!v->is_number() || !is_uint53(v->number)) {
             fail_type(key, "a non-negative integer (<= 2^53)");
         }
         return static_cast<std::uint64_t>(v->number);
@@ -382,7 +401,7 @@ void parse_mc_yield_fast(fast_reader& r, request& req) {
     out.extra_material_fraction =
         r.number("extra_material_fraction", out.extra_material_fraction);
     out.seed = r.uinteger("seed", out.seed);
-    if (out.dies < 1 || out.dies > 100000000) {
+    if (!dies_in_range(out.dies)) {
         throw request_error("bad_param",
                             "mc_yield: dies must be in [1, 1e8]");
     }
@@ -434,7 +453,7 @@ void parse_chiplet_base_fast(fast_reader& r, chiplet_request& out) {
 void parse_chiplet_fast(fast_reader& r, request& req) {
     chiplet_request& out = ensure_payload<chiplet_request>(req);
     out.chiplets = r.integer("chiplets", out.chiplets);
-    if (out.chiplets < 1 || out.chiplets > 16) {
+    if (!chiplets_in_range(out.chiplets)) {
         throw request_error("bad_param",
                             "chiplet: chiplets must be in [1, 16]");
     }
@@ -952,11 +971,9 @@ void parse_request_fast(const json::aview& doc, fast_parse_state& st) {
 }
 
 void bind_sweep_target(fast_parse_state& st) {
-    auto& q = std::get<sweep_request>(st.req.payload);
     auto target = std::make_shared<request>(st.target_req);
     target->canonical_key = st.target_key;
-    q.target_params = request_to_json(*target).as_object();
-    q.target = std::move(target);
+    std::get<sweep_request>(st.req.payload).target = std::move(target);
 }
 
 request parse_request(const json::value& doc) {
@@ -969,6 +986,8 @@ request parse_request(const json::value& doc) {
     parse_request_fast(parser.parse(text, arena), st);
     if (st.req.op == op_code::sweep) {
         bind_sweep_target(st);
+        auto& q = std::get<sweep_request>(st.req.payload);
+        q.target_params = request_to_json(*q.target).as_object();
     }
     request out = std::move(st.req);
     if (out.has_id) {
@@ -1182,6 +1201,54 @@ double* numeric_param_ptr(request& r, std::string_view path) {
             return nullptr;
     }
     return nullptr;
+}
+
+double set_numeric_param(request& r, std::string_view path, double x) {
+    constexpr double rejected = std::numeric_limits<double>::quiet_NaN();
+    if (!std::isfinite(x)) {
+        return rejected;  // JSON cannot carry it: no such point request
+    }
+    if (double* slot = numeric_param_ptr(r, path)) {
+        *slot = x;
+        return x;
+    }
+    switch (r.op) {
+        case op_code::yield:
+            if (path == "critical_steps" && is_int32(x)) {
+                auto& q = std::get<yield_request>(r.payload);
+                q.critical_steps = static_cast<int>(x);
+                return q.critical_steps;
+            }
+            break;
+        case op_code::mc_yield: {
+            auto& q = std::get<mc_yield_request>(r.payload);
+            if (path == "line_count" && is_int32(x)) {
+                q.line_count = static_cast<int>(x);
+                return q.line_count;
+            }
+            if (path == "dies" && is_int32(x) &&
+                dies_in_range(static_cast<int>(x))) {
+                q.dies = static_cast<int>(x);
+                return q.dies;
+            }
+            if (path == "seed" && is_uint53(x)) {
+                q.seed = static_cast<std::uint64_t>(x);
+                return static_cast<double>(q.seed);
+            }
+            break;
+        }
+        case op_code::chiplet:
+            if (path == "chiplets" && is_int32(x) &&
+                chiplets_in_range(static_cast<int>(x))) {
+                auto& q = std::get<chiplet_request>(r.payload);
+                q.chiplets = static_cast<int>(x);
+                return q.chiplets;
+            }
+            break;
+        default:
+            break;
+    }
+    return rejected;
 }
 
 bool numeric_param_exists(const request& r, std::string_view path) {

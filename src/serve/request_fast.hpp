@@ -10,10 +10,10 @@
 // and `parse_request` (request.hpp) is a thin adapter over it for
 // callers that already hold a `json::value`.
 //
-// `numeric_param_exists` / `numeric_param_ptr` are compile-time member
-// tables over the canonical request form; the pointer variant is what
-// the engine's batched sweep evaluation pokes per grid point instead of
-// cloning and re-parsing a JSON document.
+// `numeric_param_exists` / `numeric_param_ptr` / `set_numeric_param` are
+// compile-time member tables over the canonical request form; the
+// engine's sweep evaluation writes each grid point through them into a
+// typed copy of the target request.
 
 #pragma once
 
@@ -52,9 +52,8 @@ struct fast_parse_state {
 /// throw.
 void parse_request_fast(const json::aview& doc, fast_parse_state& st);
 
-/// Gives the sweep parsed into `st.req` its evaluable target: `target`
-/// (a copy of `st.target_req`, keyed by `st.target_key`) and
-/// `target_params` (the target's canonical parameters).  Allocates.
+/// Gives the sweep parsed into `st.req` its evaluable target: `target`,
+/// a copy of `st.target_req` keyed by `st.target_key`.  Allocates.
 void bind_sweep_target(fast_parse_state& st);
 
 /// Appends the canonical cache key of a fully-parsed request (a sweep
@@ -67,8 +66,16 @@ void canonical_key_into(const request& r, std::string& out);
                                         std::string_view path);
 
 /// Pointer to the double member of `r` addressed by `path`; nullptr when
-/// the path is invalid or addresses an integer-typed parameter (those
-/// sweeps take the generic path).
+/// the path is invalid or addresses an integer-typed parameter.
 [[nodiscard]] double* numeric_param_ptr(request& r, std::string_view path);
+
+/// Sets the numeric parameter `path` of `r` to the grid value `x`, as the
+/// point request carrying that number would hold it.  Returns the value
+/// the canonical key then spells (`x`, or the integer it converts to), or
+/// NaN — `r` unchanged — when that point request would fail schema
+/// validation: `x` is not finite, or an integer-valued parameter's
+/// integral/range check (the parser's own) rejects it.
+[[nodiscard]] double set_numeric_param(request& r, std::string_view path,
+                                       double x);
 
 }  // namespace silicon::serve

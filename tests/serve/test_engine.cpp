@@ -586,6 +586,30 @@ TEST(Engine, SweepKernelMatchesGenericPath) {
             "count":5,"target":{"op":"chiplet","chiplets":2}})",
         R"({"op":"sweep","param":"bond_yield","from":0.5,"to":1.5,"count":5,
             "target":{"op":"chiplet","chiplets":8}})",
+        // Monte-Carlo targets, over a double and over integer-valued
+        // parameters (a non-integral or out-of-range lane is null exactly
+        // because its point request fails schema validation).
+        R"({"op":"sweep","param":"defects_per_um2","from":-1e-4,"to":3e-4,
+            "count":5,"target":{"op":"mc_yield","dies":60,"seed":5}})",
+        R"({"op":"sweep","param":"seed","from":-1,"to":2,"count":7,
+            "target":{"op":"mc_yield","dies":40}})",
+        R"({"op":"sweep","param":"dies","from":-10,"to":50,"count":5,
+            "target":{"op":"mc_yield"}})",
+        R"({"op":"sweep","param":"line_count","from":-4,"to":20,"count":7,
+            "target":{"op":"mc_yield","dies":30}})",
+        // Integer-valued parameters of the typed targets: non-integral
+        // lanes, and chiplet counts past the schema's 16.
+        R"({"op":"sweep","param":"chiplets","from":1,"to":20,"count":39,
+            "target":{"op":"chiplet"}})",
+        R"({"op":"sweep","param":"critical_steps","from":0,"to":12,"count":9,
+            "target":{"op":"yield","model":"bose_einstein"}})",
+        R"({"op":"sweep","param":"critical_steps","from":-2,"to":10,"count":7,
+            "target":{"op":"yield","model":"bose_einstein",
+                      "expected_faults":1.5}})",
+        R"({"op":"sweep","param":"product.transistors","from":1e5,"to":1e9,
+            "count":5,"scale":"log","target":{"op":"cost_tr"}})",
+        R"({"op":"sweep","param":"scribe_mm","from":-0.5,"to":2,"count":6,
+            "target":{"op":"gross_die","method":"exact"}})",
     };
     for (unsigned parallelism : {1u, 4u, 0u}) {
         serve::engine engine{config_with(parallelism)};

@@ -344,8 +344,9 @@ TEST_F(HotPathAllocations, WarmHitsAcrossEndpointsAllocateNothing) {
 
 TEST_F(HotPathAllocations, ColdMissWithCacheDisabledAllocatesNothing) {
     // The cold-path arena gate: with the memoization cache disabled,
-    // *every* request is a cold miss, and for the closed-form point
-    // endpoints the hot path evaluates the library directly and
+    // *every* request is a cold miss, and for the point endpoints whose
+    // library evaluation allocates nothing (the closed forms, cost_tr,
+    // chiplet) the hot path evaluates the library directly and
     // serializes into a reused per-thread buffer — zero allocations
     // once buffers have grown (warm-up is inside
     // warm_hit_allocations).  The cache put is skipped entirely at
@@ -369,6 +370,16 @@ TEST_F(HotPathAllocations, ColdMissWithCacheDisabledAllocatesNothing) {
         R"({"op":"gross_die","die_width_mm":7,"die_height_mm":7,)"
         R"("method":"ferris_prabhu","scribe_mm":0.1})",
         R"({"id":"t","op":"scenario1","trace_id":"req-cold-1"})",
+        // cost_tr and chiplet misses run the same writer-based
+        // serializer as the closed-form ops.
+        R"({"op":"cost_tr","product":{"transistors":1e6},)"
+        R"("process":{"c0_usd":900}})",
+        R"({"op":"cost_tr","process":{"yield":{"model":"scaled"},)"
+        R"("gross_die_method":"maly_rows_best_orient"},)"
+        R"("economics":{"volume_wafers":500}})",
+        R"({"id":9,"op":"chiplet","chiplets":4,"substrate":"rdl",)"
+        R"("d2d_area_mm2":8})",
+        R"({"op":"chiplet","substrate":"interposer","logic_area_mm2":120})",
     };
     std::string out;
     for (const std::string& line : lines) {
@@ -390,9 +401,9 @@ TEST_F(HotPathAllocations, ColdMissWithCacheDisabledAllocatesNothing) {
 }
 
 TEST_F(HotPathAllocations, ColdMissIneligibleOpsStillAnswerCorrectly) {
-    // Ops outside the closed-form set (table3, chiplet, cost_tr,
-    // mc_yield, sweeps) and error lines evaluate the parsed request at
-    // cache capacity 0 — allocations are allowed, bytes must match.
+    // Ops outside the zero-allocation gate (table3, mc_yield, sweeps;
+    // chiplet and cost_tr repeated here) and error lines at cache
+    // capacity 0 — allocations are allowed, bytes must match.
     serve::engine_config config = fast_config();
     config.cache_capacity = 0;
     serve::engine engine{config};
