@@ -1,12 +1,13 @@
 // bench_batch_kernels.cpp — throughput of the SoA batch kernels
-// (yield/batch.hpp, cost/batch.hpp) against the per-point paths they
-// replaced, plus the bit-exactness check that makes the speedup
-// meaningful.
+// (yield/batch.hpp, cost/batch.hpp) against per-point paths, plus the
+// bit-exactness check that makes the speedup meaningful.  The exact
+// kernels are loops over the scalar models, so their rows time that
+// loop; the *_fast rows time the vector tier.
 //
 // Two scalar baselines are measured for every kernel:
 //
-//   engine per-point  - the per-point sweep path the kernels replaced:
-//                       per grid point, clone the target JSON doc,
+//   engine per-point  - a naive per-point sweep path: per grid
+//                       point, clone the target JSON doc,
 //                       poke the swept member, re-canonicalize through
 //                       parse_request, write the result with
 //                       engine::evaluate_into, and re-parse it to

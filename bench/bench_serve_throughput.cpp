@@ -9,12 +9,12 @@
 //
 // 2. The cold-batch ablation gate (the perf target of the batch
 //    execution work): a sweep-heavy, duplicate-heavy batch served by a
-//    fresh engine (one parse per line, intra-batch dedup, SoA sweep
-//    kernels) versus the naive per-point pipeline defined below (per
-//    line json::parse -> parse_request -> cache probe -> evaluate ->
-//    json::dump -> envelope, sweeps expanded point by point, no
-//    dedup), fanned across the same thread pool.  Responses must be
-//    byte-identical; throughput must be >= 3x.
+//    fresh engine (one parse per line, intra-batch dedup, one typed
+//    writer evaluation per sweep lane) versus the naive per-point
+//    pipeline defined below (per line json::parse -> parse_request ->
+//    cache probe -> evaluate -> json::dump -> envelope, sweeps expanded
+//    point by point, no dedup), fanned across the same thread pool.
+//    Responses must be byte-identical; throughput must be >= 3x.
 //
 // 3. The cache layer on its own (no gate): ns per memo_cache get-hit,
 //    get-miss and put-with-eviction on a full cache at the engine's
@@ -106,9 +106,9 @@ std::vector<std::string> make_requests(std::size_t n) {
     return lines;
 }
 
-/// The cold-batch ablation workload: half multi-point sweeps (the SoA
-/// kernel surface), half point queries repeated `dup` times each (the
-/// intra-batch dedup surface).  `n` lines total.
+/// The cold-batch ablation workload: half multi-point sweeps (the
+/// sweep-lane surface), half point queries repeated `dup` times each
+/// (the intra-batch dedup surface).  `n` lines total.
 std::vector<std::string> make_batch_workload(std::size_t n,
                                              std::size_t sweep_count,
                                              std::size_t dup) {
@@ -118,7 +118,7 @@ std::vector<std::string> make_batch_workload(std::size_t n,
     while (lines.size() < n) {
         const double lambda = 0.4 + 0.001 * static_cast<double>(unique);
         if (unique % 2 == 0) {
-            // Sweeps over the kernel-eligible targets.
+            // Sweeps over the Eq. (8)/(9) scenario targets.
             const char* target = (unique % 4 == 0)
                                      ? R"({"op":"scenario2"})"
                                      : R"({"op":"scenario1"})";
@@ -145,8 +145,8 @@ std::vector<std::string> make_batch_workload(std::size_t n,
 /// evaluate_into -> cache put -> envelope.  A sweep expands
 /// point by point on the engine's grid, each point taking the same
 /// path and its metric read back from the dumped result (null where
-/// the point errors).  No dedup, no kernels, no parse reuse; like the
-/// engine, it leaves every point it evaluated in its cache.
+/// the point errors).  No dedup, no typed lanes, no parse reuse; like
+/// the engine, it leaves every point it evaluated in its cache.
 class naive_pipeline {
 public:
     naive_pipeline() : evaluator_{cache_free()} {}

@@ -64,24 +64,6 @@ series sweep(std::string name, const std::vector<double>& xs,
     return s;
 }
 
-series sweep_batch(std::string name, const std::vector<double>& xs,
-                   const batch_evaluator& f, unsigned parallelism) {
-    std::vector<double> ys(xs.size());
-    exec::parallel_for(xs.size(), parallelism,
-                       [&](const exec::shard_range& shard) {
-                           if (shard.begin < shard.end) {
-                               f(xs.data() + shard.begin,
-                                 ys.data() + shard.begin,
-                                 shard.end - shard.begin);
-                           }
-                       });
-    series s{std::move(name)};
-    for (std::size_t i = 0; i < xs.size(); ++i) {
-        s.add(xs[i], ys[i]);
-    }
-    return s;
-}
-
 double grid::min_value() const {
     if (values.empty()) {
         throw std::domain_error("grid: empty");

@@ -36,22 +36,6 @@ namespace silicon::analysis {
                            const std::function<double(double)>& f,
                            unsigned parallelism = 0);
 
-/// A batch evaluator: writes f(xs[i]) into ys[i] for i in [0, count).
-/// The SoA kernels in yield/batch.hpp and cost/batch.hpp bind directly
-/// (possibly with broadcast columns captured by the closure).
-using batch_evaluator =
-    std::function<void(const double* xs, double* ys, std::size_t count)>;
-
-/// Sweep through a batch evaluator: each shard hands its contiguous
-/// sub-range to `f` in one call, so a kernel processes whole lanes
-/// instead of being re-entered per point.  Lanes must be independent
-/// (every kernel in this library is), which keeps the result
-/// bit-identical to the scalar `sweep` at every parallelism value.
-[[nodiscard]] series sweep_batch(std::string name,
-                                 const std::vector<double>& xs,
-                                 const batch_evaluator& f,
-                                 unsigned parallelism = 0);
-
 /// A rectangular grid evaluation z(x, y): used by the Fig. 8 contour map.
 struct grid {
     std::vector<double> xs;             ///< column coordinates

@@ -1,5 +1,7 @@
 #include "core/scenario.hpp"
 
+#include "core/lanes.hpp"
+#include "cost/batch.hpp"
 #include "tech/roadmap.hpp"
 
 #include <cmath>
@@ -47,3 +49,41 @@ dollars scenario2::cost_per_transistor(microns lambda) const {
 }
 
 }  // namespace silicon::core
+
+// The Eq. (8)/(9) kernels declared in cost/batch.hpp: one scenario
+// evaluation per lane, built the way the serve scenario1/scenario2
+// endpoints build theirs.
+namespace silicon::cost::batch {
+
+namespace {
+
+template <typename Scenario>
+Scenario lane_scenario(const scenario_columns& in, std::size_t i) {
+    Scenario s;
+    s.wafer_cost = wafer_cost_model{dollars{in.c0_usd[i]}, in.x[i]};
+    s.wafer = geometry::wafer{centimeters{in.wafer_radius_cm[i]}};
+    s.design_density = in.design_density[i];
+    return s;
+}
+
+}  // namespace
+
+void scenario1_cost_per_transistor(const scenario_columns& in, double* out,
+                                   std::size_t n) {
+    core::eval_lanes(out, n, [&](std::size_t i) {
+        return lane_scenario<core::scenario1>(in, i)
+            .cost_per_transistor(microns{in.lambda_um[i]})
+            .value();
+    });
+}
+
+void scenario2_cost_per_transistor(const scenario_columns& in, double* out,
+                                   std::size_t n) {
+    core::eval_lanes(out, n, [&](std::size_t i) {
+        auto s = lane_scenario<core::scenario2>(in, i);
+        s.yield = yield::reference_die_yield{probability{in.y0[i]}};
+        return s.cost_per_transistor(microns{in.lambda_um[i]}).value();
+    });
+}
+
+}  // namespace silicon::cost::batch

@@ -1,135 +1,22 @@
 #include "cost/batch.hpp"
 
-#include <cmath>
-#include <limits>
+#include "core/lanes.hpp"
+#include "cost/wafer_cost.hpp"
 
 namespace silicon::cost::batch {
-
-namespace {
-
-constexpr double nan_lane = std::numeric_limits<double>::quiet_NaN();
-constexpr double pi = 3.14159265358979323846;  // core/units.hpp disc_area
-
-/// Guards shared by both scenarios: wafer_cost_model{dollars{c0}, x}
-/// (dollars finite, c0 > 0, x >= 1; the default generation step 0.2 is
-/// always valid), wafer{centimeters{r}} (r finite, >= 0, then > 0),
-/// microns{lambda} then the scenarios' lambda > 0 requirement.
-bool scenario_inputs_valid(double c0, double x, double r, double l) {
-    if (std::isnan(c0) || std::isinf(c0) || !(c0 > 0.0) || !(x >= 1.0)) {
-        return false;
-    }
-    if (!(r >= 0.0) || std::isinf(r) || r <= 0.0) {
-        return false;
-    }
-    if (!(l >= 0.0) || std::isinf(l) || !(l > 0.0)) {
-        return false;
-    }
-    return true;
-}
-
-}  // namespace
 
 void pure_wafer_cost(const double* c0_usd, const double* x,
                      const double* lambda_um, double generation_step_um,
                      double* out, std::size_t n) {
-    if (!(generation_step_um > 0.0)) {
-        for (std::size_t i = 0; i < n; ++i) {
-            out[i] = nan_lane;
-        }
-        return;
-    }
-    for (std::size_t i = 0; i < n; ++i) {
-        const double c0 = c0_usd[i];
-        const double xi = x[i];
-        const double l = lambda_um[i];
-        if (std::isnan(c0) || std::isinf(c0) || !(c0 > 0.0) ||
-            !(xi >= 1.0) || !(l >= 0.0) || std::isinf(l) || !(l > 0.0)) {
-            out[i] = nan_lane;
-            continue;
-        }
-        // Exact scalar association: C_0 * X^((1 - lambda) / step); the
-        // dollars constructor on the result maps overflow to NaN.
-        const double cw =
-            c0 * std::pow(xi, (1.0 - l) / generation_step_um);
-        out[i] = (std::isnan(cw) || std::isinf(cw)) ? nan_lane : cw;
-    }
+    core::eval_lanes(out, n, [&](std::size_t i) {
+        return wafer_cost_model{dollars{c0_usd[i]}, x[i],
+                                microns{generation_step_um}}
+            .pure_wafer_cost(microns{lambda_um[i]})
+            .value();
+    });
 }
 
-void scenario1_cost_per_transistor(const scenario_columns& in, double* out,
-                                   std::size_t n) {
-    for (std::size_t i = 0; i < n; ++i) {
-        const double l = in.lambda_um[i];
-        const double c0 = in.c0_usd[i];
-        const double x = in.x[i];
-        const double r = in.wafer_radius_cm[i];
-        const double dd = in.design_density[i];
-        if (!scenario_inputs_valid(c0, x, r, l)) {
-            out[i] = nan_lane;
-            continue;
-        }
-        const double cw = c0 * std::pow(x, (1.0 - l) / 0.2);
-        if (std::isnan(cw) || std::isinf(cw)) {  // dollars{cw}
-            out[i] = nan_lane;
-            continue;
-        }
-        const double wafer_area_cm2 = pi * r * r;
-        if (!(wafer_area_cm2 >= 0.0) ||
-            std::isinf(wafer_area_cm2)) {  // square_centimeters ctor
-            out[i] = nan_lane;
-            continue;
-        }
-        const double wafer_um2 = wafer_area_cm2 * 1e8;
-        const double area_per_transistor_um2 = dd * l * l;
-        const double ctr = cw * area_per_transistor_um2 / wafer_um2;
-        out[i] = (std::isnan(ctr) || std::isinf(ctr)) ? nan_lane : ctr;
-    }
-}
-
-void scenario2_cost_per_transistor(const scenario_columns& in, double* out,
-                                   std::size_t n) {
-    for (std::size_t i = 0; i < n; ++i) {
-        const double l = in.lambda_um[i];
-        const double c0 = in.c0_usd[i];
-        const double x = in.x[i];
-        const double r = in.wafer_radius_cm[i];
-        const double dd = in.design_density[i];
-        const double y0 = in.y0[i];
-        // reference_die_yield{probability{y0}}: y0 in [0,1] then > 0.
-        if (!(y0 >= 0.0 && y0 <= 1.0) || y0 <= 0.0 ||
-            !scenario_inputs_valid(c0, x, r, l)) {
-            out[i] = nan_lane;
-            continue;
-        }
-        const double cw = c0 * std::pow(x, (1.0 - l) / 0.2);
-        if (std::isnan(cw) || std::isinf(cw)) {  // dollars{cw}
-            out[i] = nan_lane;
-            continue;
-        }
-        const double wafer_area_cm2 = pi * r * r;
-        if (!(wafer_area_cm2 >= 0.0) || std::isinf(wafer_area_cm2)) {
-            out[i] = nan_lane;
-            continue;
-        }
-        const double wafer_um2 = wafer_area_cm2 * 1e8;
-        const double area_per_transistor_um2 = dd * l * l;
-        // Roadmap die area A(lambda) = 16.5 exp(-5.3 lambda) cm^2 and
-        // Y = Y_0^(A / A_0) with the scenario's default A_0 = 1 cm^2.
-        const double die_area_cm2 = 16.5 * std::exp(-5.3 * l);
-        if (!(die_area_cm2 >= 0.0) || std::isinf(die_area_cm2)) {
-            out[i] = nan_lane;
-            continue;
-        }
-        const double y = std::pow(y0, die_area_cm2 / 1.0);
-        // probability ctor range check, then the scenario's explicit
-        // yield-underflow domain_error.
-        if (!(y >= 0.0 && y <= 1.0) || y <= 0.0) {
-            out[i] = nan_lane;
-            continue;
-        }
-        const double ctr =
-            cw * area_per_transistor_um2 / (wafer_um2 * y);
-        out[i] = (std::isnan(ctr) || std::isinf(ctr)) ? nan_lane : ctr;
-    }
-}
+// scenario1/2_cost_per_transistor loop over core::scenario1/2, which
+// sit above this library; they are defined in core/scenario.cpp.
 
 }  // namespace silicon::cost::batch

@@ -3,20 +3,20 @@
 // Companions to yield/batch.hpp on the money side: contiguous-array
 // kernels for the pure wafer cost C_w(lambda) = C_0 X^((1-lambda)/step)
 // and the paper's Scenario #1 / Scenario #2 cost-per-transistor curves
-// (Eqs. (8) and (9)), which are what the serve engine's `sweep`
-// endpoint spends its time on (Figs. 6 and 7 are exactly these curves).
+// (Eqs. (8) and (9); Figs. 6 and 7 are exactly these curves).
 //
-// Bit-exactness contract (pinned by tests/cost/test_batch.cpp and the
-// serve sweep equivalence tests): each lane performs exactly the
-// floating-point operations, in the same association order, as
-// wafer_cost_model::pure_wafer_cost / scenario1::cost_per_transistor /
-// scenario2::cost_per_transistor through the serve endpoint's
-// constructor chain.  Lanes whose inputs would make the scalar path
-// throw (C_0 <= 0, X < 1, radius <= 0, lambda <= 0, Y_0 outside (0,1],
-// overflow to infinity, yield underflow to zero, ...) produce quiet
-// NaN, which the engine serializes as JSON null — the bytes the
-// per-point error path yields.  Kernels never throw, and lanes are
-// independent (sub-range calls compose bit-identically).
+// The exact kernels are plain loops over the scalar models —
+// wafer_cost_model::pure_wafer_cost and core::scenario1/2::
+// cost_per_transistor, built as the serve endpoints build them — so
+// each lane is bit-identical to the scalar path by construction
+// (pinned by tests/cost/test_batch.cpp).  Lanes whose inputs make the
+// scalar path throw (C_0 <= 0, X < 1, radius <= 0, lambda <= 0, Y_0
+// outside (0,1], overflow to infinity, yield underflow to zero, ...)
+// are quiet NaN, which serializes as JSON null (core/lanes.hpp).
+// The scenario kernels loop over core::scenario1/2, which sit above
+// this library, so they are defined in core/scenario.cpp.  Kernels
+// never throw, and lanes are independent (sub-range calls compose
+// bit-identically).
 
 #pragma once
 
@@ -24,7 +24,7 @@
 
 namespace silicon::cost::batch {
 
-/// Pure wafer cost C_0 * X^((1 - lambda)/step) per lane, mirroring
+/// Pure wafer cost C_0 * X^((1 - lambda)/step) per lane,
 /// wafer_cost_model{c0, x, step}.pure_wafer_cost(lambda).  Lane NaN
 /// when the model constructor would reject (c0 non-positive or
 /// non-finite, x < 1, step not strictly positive), lambda is not
@@ -59,10 +59,10 @@ void scenario2_cost_per_transistor(const scenario_columns& in, double* out,
 
 // ---- fast_math variants --------------------------------------------
 //
-// Same lane-validity classification as the scalar kernels above, but
+// Same lane-validity classification as the exact kernels above, but
 // X^((1-lambda)/step), exp(-5.3 lambda) and Y_0^A go through the
 // dispatched vector math in simd/math.hpp, so results agree with the
-// scalar kernels only to the ULP bounds in DESIGN.md §15 — not
+// exact kernels only to the ULP bounds in DESIGN.md §15 — not
 // bitwise.  Invalid lanes are masked to benign arguments before the
 // transcendental and serialize as the same JSON nulls; lanes stay
 // independent, so sub-range calls compose bit-identically and

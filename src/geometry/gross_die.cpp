@@ -66,73 +66,106 @@ long ferris_prabhu(const wafer& w, const die& d) {
     return static_cast<long>(std::floor(pi * r_eff * r_eff / area));
 }
 
-placement_result exact_count(const wafer& w, const die& d, millimeters scribe,
-                             int offsets_per_axis) {
-    if (offsets_per_axis < 1) {
-        throw std::invalid_argument(
-            "exact_count: offsets_per_axis must be >= 1");
-    }
-    const double r = w.usable_radius().to_millimeters().value();
-    const double pitch_x = d.width().value() + scribe.value();
-    const double pitch_y = d.height().value() + scribe.value();
-    const double a = d.width().value();
-    const double b = d.height().value();
+namespace {
 
-    placement_result best;
-    const double r2 = r * r;
+/// The grid placement that exact_count searches: whole dies of a
+/// rectangular grid (die plus scribe pitch) inside the usable circle.
+class placement_grid {
+public:
+    placement_grid(const wafer& w, const die& d, millimeters scribe)
+        : r_{w.usable_radius().to_millimeters().value()},
+          r2_{r_ * r_},
+          a_{d.width().value()},
+          b_{d.height().value()},
+          pitch_x_{a_ + scribe.value()},
+          pitch_y_{b_ + scribe.value()} {}
 
-    // A die placed with lower-left corner (x, y) fits iff all four corners
-    // lie inside the usable circle; because the die is convex and the disc
-    // is convex, corners suffice.
-    const auto corner_inside = [&](double x, double y) {
-        return x * x + y * y <= r2;
-    };
-    const auto die_fits = [&](double x, double y) {
-        return corner_inside(x, y) && corner_inside(x + a, y) &&
-               corner_inside(x, y + b) && corner_inside(x + a, y + b);
-    };
-
-    for (int oi = 0; oi < offsets_per_axis; ++oi) {
-        for (int oj = 0; oj < offsets_per_axis; ++oj) {
-            const double off_x =
-                pitch_x * static_cast<double>(oi) /
-                static_cast<double>(offsets_per_axis);
-            const double off_y =
-                pitch_y * static_cast<double>(oj) /
-                static_cast<double>(offsets_per_axis);
-
-            long count = 0;
-            std::vector<long> row_counts;
-            // Enumerate grid cells overlapping the disc bounding box.
-            const long j_lo = static_cast<long>(
-                std::floor((-r - off_y) / pitch_y) - 1);
-            const long j_hi = static_cast<long>(
-                std::ceil((r - off_y) / pitch_y) + 1);
-            for (long j = j_lo; j <= j_hi; ++j) {
-                const double y = off_y + static_cast<double>(j) * pitch_y;
-                long in_row = 0;
-                const long i_lo = static_cast<long>(
-                    std::floor((-r - off_x) / pitch_x) - 1);
-                const long i_hi = static_cast<long>(
-                    std::ceil((r - off_x) / pitch_x) + 1);
-                for (long i = i_lo; i <= i_hi; ++i) {
-                    const double x = off_x + static_cast<double>(i) * pitch_x;
-                    if (die_fits(x, y)) {
-                        ++in_row;
-                    }
+    /// The best count over offsets_per_axis^2 grid offsets and the
+    /// offset that achieved it (the first one wins ties); row_counts
+    /// stays empty, so the search allocates nothing.
+    [[nodiscard]] placement_result best(int offsets_per_axis) const {
+        if (offsets_per_axis < 1) {
+            throw std::invalid_argument(
+                "exact_count: offsets_per_axis must be >= 1");
+        }
+        const auto steps = static_cast<double>(offsets_per_axis);
+        placement_result best;
+        for (int oi = 0; oi < offsets_per_axis; ++oi) {
+            for (int oj = 0; oj < offsets_per_axis; ++oj) {
+                const double off_x =
+                    pitch_x_ * static_cast<double>(oi) / steps;
+                const double off_y =
+                    pitch_y_ * static_cast<double>(oj) / steps;
+                const long count = this->count(off_x, off_y, nullptr);
+                if (count > best.count) {
+                    best.count = count;
+                    best.offset_x = off_x;
+                    best.offset_y = off_y;
                 }
-                if (in_row > 0) {
-                    row_counts.push_back(in_row);
-                    count += in_row;
-                }
-            }
-            if (count > best.count) {
-                best.count = count;
-                best.offset_x = off_x;
-                best.offset_y = off_y;
-                best.row_counts = std::move(row_counts);
             }
         }
+        return best;
+    }
+
+    /// Whole dies placed with the grid shifted by (off_x, off_y); when
+    /// `rows` is given, appends each non-empty row's count (bottom to
+    /// top).
+    long count(double off_x, double off_y, std::vector<long>* rows) const {
+        long total = 0;
+        // Enumerate grid cells overlapping the disc bounding box.
+        const long j_lo =
+            static_cast<long>(std::floor((-r_ - off_y) / pitch_y_) - 1);
+        const long j_hi =
+            static_cast<long>(std::ceil((r_ - off_y) / pitch_y_) + 1);
+        const long i_lo =
+            static_cast<long>(std::floor((-r_ - off_x) / pitch_x_) - 1);
+        const long i_hi =
+            static_cast<long>(std::ceil((r_ - off_x) / pitch_x_) + 1);
+        for (long j = j_lo; j <= j_hi; ++j) {
+            const double y = off_y + static_cast<double>(j) * pitch_y_;
+            long in_row = 0;
+            for (long i = i_lo; i <= i_hi; ++i) {
+                const double x = off_x + static_cast<double>(i) * pitch_x_;
+                if (die_fits(x, y)) {
+                    ++in_row;
+                }
+            }
+            if (in_row > 0 && rows != nullptr) {
+                rows->push_back(in_row);
+            }
+            total += in_row;
+        }
+        return total;
+    }
+
+private:
+    // A die placed with lower-left corner (x, y) fits iff all four
+    // corners lie inside the usable circle; because the die is convex
+    // and the disc is convex, corners suffice.
+    [[nodiscard]] bool corner_inside(double x, double y) const {
+        return x * x + y * y <= r2_;
+    }
+    [[nodiscard]] bool die_fits(double x, double y) const {
+        return corner_inside(x, y) && corner_inside(x + a_, y) &&
+               corner_inside(x, y + b_) && corner_inside(x + a_, y + b_);
+    }
+
+    double r_;
+    double r2_;
+    double a_;
+    double b_;
+    double pitch_x_;
+    double pitch_y_;
+};
+
+}  // namespace
+
+placement_result exact_count(const wafer& w, const die& d, millimeters scribe,
+                             int offsets_per_axis) {
+    const placement_grid grid{w, d, scribe};
+    placement_result best = grid.best(offsets_per_axis);
+    if (best.count > 0) {
+        (void)grid.count(best.offset_x, best.offset_y, &best.row_counts);
     }
     return best;
 }
@@ -151,7 +184,8 @@ long gross_dies(const wafer& w, const die& d, gross_die_method method,
         case gross_die_method::ferris_prabhu:
             return ferris_prabhu(w, d);
         case gross_die_method::exact:
-            return exact_count(w, d, scribe).count;
+            // exact_count's default search, without storing rows.
+            return placement_grid{w, d, scribe}.best(8).count;
     }
     throw std::invalid_argument("gross_dies: unknown method");
 }

@@ -84,75 +84,6 @@ std::vector<elasticity> elasticities(
     return rows;
 }
 
-std::vector<elasticity> elasticities(
-    const batch_objective& objective,
-    const std::vector<parameter>& parameters, double rel_step) {
-    if (!(rel_step > 0.0 && rel_step < 0.5)) {
-        throw std::invalid_argument(
-            "elasticities: relative step must be in (0, 0.5)");
-    }
-    std::vector<double> values;
-    values.reserve(parameters.size());
-    for (const parameter& p : parameters) {
-        values.push_back(p.value);
-    }
-
-    std::vector<std::size_t> probes;
-    probes.reserve(parameters.size());
-    for (std::size_t i = 0; i < parameters.size(); ++i) {
-        if (parameters[i].value != 0.0) {
-            probes.push_back(i);
-        }
-    }
-
-    // Point layout: [nominal, up_0, down_0, up_1, down_1, ...] — one
-    // batch call covers the whole probe set.
-    std::vector<std::vector<double>> points;
-    points.reserve(1 + 2 * probes.size());
-    points.push_back(values);
-    for (const std::size_t i : probes) {
-        std::vector<double> up = values;
-        std::vector<double> down = values;
-        up[i] = values[i] * (1.0 + rel_step);
-        down[i] = values[i] * (1.0 - rel_step);
-        points.push_back(std::move(up));
-        points.push_back(std::move(down));
-    }
-    std::vector<double> out;
-    objective(points, out);
-    if (out.size() != points.size()) {
-        throw std::invalid_argument(
-            "elasticities: batched objective returned " +
-            std::to_string(out.size()) + " values for " +
-            std::to_string(points.size()) + " points");
-    }
-    if (!(out[0] > 0.0)) {
-        throw std::domain_error(
-            "elasticities: objective must be positive at the nominal "
-            "point");
-    }
-
-    std::vector<elasticity> rows(probes.size());
-    for (std::size_t slot = 0; slot < probes.size(); ++slot) {
-        const std::size_t i = probes[slot];
-        const double f_up = out[1 + 2 * slot];
-        const double f_down = out[2 + 2 * slot];
-        if (!(f_up > 0.0) || !(f_down > 0.0)) {
-            throw std::domain_error(
-                "elasticities: objective must stay positive at probe "
-                "points for parameter '" +
-                parameters[i].name + "'");
-        }
-        elasticity row;
-        row.name = parameters[i].name;
-        row.nominal = parameters[i].value;
-        row.value = (std::log(f_up) - std::log(f_down)) /
-                    (std::log1p(rel_step) - std::log1p(-rel_step));
-        rows[slot] = std::move(row);
-    }
-    return rows;
-}
-
 std::vector<elasticity> ranked(std::vector<elasticity> rows) {
     std::sort(rows.begin(), rows.end(),
               [](const elasticity& a, const elasticity& b) {

@@ -45,24 +45,6 @@ struct elasticity {
     const std::vector<parameter>& parameters, double rel_step = 1e-4,
     unsigned parallelism = 1);
 
-/// A batched objective: evaluates the objective at every probe point in
-/// one call, writing values[k] = C(points[k]).  Each points[k] is a full
-/// parameter vector.  Lets callers back the probes with the SoA kernels
-/// (cost/batch.hpp, yield/batch.hpp) instead of re-entering a scalar
-/// model 2N+1 times.
-using batch_objective = std::function<void(
-    const std::vector<std::vector<double>>& points,
-    std::vector<double>& values)>;
-
-/// Batched-probe elasticities: builds the nominal point plus the up/down
-/// probe pair for every parameter, evaluates them through `objective` in
-/// a single call, and reduces to the same rows — same formula, same
-/// validation, and the same error (lowest offending parameter first) as
-/// the scalar overload.
-[[nodiscard]] std::vector<elasticity> elasticities(
-    const batch_objective& objective,
-    const std::vector<parameter>& parameters, double rel_step = 1e-4);
-
 /// Sort a copy of the rows by |value| descending — "what matters most".
 [[nodiscard]] std::vector<elasticity> ranked(std::vector<elasticity> rows);
 

@@ -30,18 +30,26 @@ namespace {
 
 }  // namespace
 
+transport_counters& transport_counters::global() {
+    obs::metrics_registry& registry = obs::metrics_registry::global();
+    static transport_counters counters{
+        registry.get_counter(
+            "silicond_flushes_total",
+            "Gathered response flushes written to the transport"),
+        registry.get_counter(
+            "silicond_flushed_bytes_total",
+            "Response bytes written through gathered flushes"),
+        registry.get_counter(
+            "silicond_oversized_lines_total",
+            "Transport lines rejected by the max-line-bytes bound"),
+    };
+    return counters;
+}
+
 conn_shared::conn_shared(engine& engine_ref, conn_config cfg)
     : eng{engine_ref},
       config{cfg},
-      flushes{obs::metrics_registry::global().get_counter(
-          "silicond_flushes_total",
-          "Gathered response flushes written to the transport")},
-      flushed_bytes{obs::metrics_registry::global().get_counter(
-          "silicond_flushed_bytes_total",
-          "Response bytes written through gathered flushes")},
-      oversized_lines{obs::metrics_registry::global().get_counter(
-          "silicond_oversized_lines_total",
-          "Transport lines rejected by the max-line-bytes bound")},
+      transport{transport_counters::global()},
       http_requests{obs::metrics_registry::global().get_counter(
           "silicond_http_requests_total",
           "HTTP/1.x requests parsed on the multiplexed port")},
@@ -182,16 +190,13 @@ bool conn::on_jsonl_line(std::string_view line, bool oversized) {
         if (dead_) {
             return false;
         }
-        shared_.oversized_lines.add(1);
+        shared_.transport.oversized_lines.add(1);
         reject_.clear();
         append_line_too_large(shared_.config.max_line_bytes, reject_);
         reject_ += '\n';
         enqueue(reject_);
-        if (shared_.config.close_on_oversize) {
-            close_after_flush_ = true;  // framing is suspect: drop the peer
-            return false;
-        }
-        return !dead_;
+        close_after_flush_ = true;  // framing is suspect: drop the peer
+        return false;
     }
     if (line.empty()) {
         return true;  // blank lines are keep-alives, not requests
@@ -237,8 +242,8 @@ void conn::flush_pending_batch() {
         gather_ += '\n';
     }
     lines_.clear();
-    shared_.flushes.add(1);
-    shared_.flushed_bytes.add(gather_.size());
+    shared_.transport.flushes.add(1);
+    shared_.transport.flushed_bytes.add(gather_.size());
     enqueue(gather_);
 }
 

@@ -62,11 +62,19 @@ struct conn_config {
     /// Loop-wide buffered-response byte budget (0 = off); enforced via
     /// admission tickets on the shared ledger.
     std::size_t queue_budget_bytes = 0;
-    /// Drop the connection after answering an oversized line (TCP
-    /// framing is suspect; matches the PR 5 transport).
-    bool close_on_oversize = true;
     /// HTTP parser bounds (431/413 beyond).
     http::parser::config http;
+};
+
+/// Transport counters that both line transports (the event loop's
+/// connections and silicond's stdio loop) report into, registered once
+/// in the process-global obs registry.
+struct transport_counters {
+    obs::counter& flushes;
+    obs::counter& flushed_bytes;
+    obs::counter& oversized_lines;
+
+    [[nodiscard]] static transport_counters& global();
 };
 
 /// State shared by every conn of one event loop: the engine, the
@@ -86,9 +94,7 @@ struct conn_shared {
         std::chrono::steady_clock::now();
     std::atomic<std::size_t> open_conns{0};
 
-    obs::counter& flushes;
-    obs::counter& flushed_bytes;
-    obs::counter& oversized_lines;
+    transport_counters& transport;
     obs::counter& http_requests;
     obs::counter& queue_overflow_drops;
     obs::gauge& queue_bytes_gauge;

@@ -756,10 +756,10 @@ void engine::sweep_into(const sweep_request& q, std::string& out,
     // Grid points are independent; inside a batch worker this degrades
     // to serial with the identical decomposition (exec contract), so
     // sweep responses are byte-stable at every nesting/thread level.
-    // Every lane equals the primary metric of its own point request
-    // (tests/serve/test_engine.cpp pins this), and both lane paths
-    // populate the same per-point memoization cache.
-    if (!kernel_lanes(q, xs, ys, cancel)) {
+    // Every exact lane is its own point request, evaluated once through
+    // the endpoint writer (tests/serve/test_engine.cpp pins this);
+    // fast_math lanes run on the vector kernels instead.
+    if (!config_.fast_math || !fast_lanes(q, xs, ys, cancel)) {
         point_lanes(q, xs, ys, cancel);
     }
 
@@ -774,117 +774,45 @@ void engine::sweep_into(const sweep_request& q, std::string& out,
     w.close();
 }
 
-bool engine::kernel_lanes(const sweep_request& q,
-                          const std::vector<double>& xs,
-                          std::vector<double>& ys,
-                          const exec::cancel_token* cancel) {
+bool engine::fast_lanes(const sweep_request& q,
+                        const std::vector<double>& xs,
+                        std::vector<double>& ys,
+                        const exec::cancel_token* cancel) {
     const request& tgt = *q.target;
     if (tgt.op != op_code::scenario1 && tgt.op != op_code::scenario2 &&
         tgt.op != op_code::yield) {
         return false;
     }
-    const std::size_t n = xs.size();
-    const bool fm = config_.fast_math;
     request tmp = tgt;
-    double* slot = numeric_param_ptr(tmp, q.param);
+    const double* slot = numeric_param_ptr(tmp, q.param);
     if (slot == nullptr) {
         return false;  // integer-valued parameter: per-lane path
     }
-
-    // Cache-aware planning: probe each lane's canonical point key,
-    // splice lanes the point cache already holds, and run the kernel
-    // over the missing lanes only.  Lanes are independent and sub-range
-    // kernel calls are bit-exact (batch contract), so a gathered
-    // evaluation produces the very bytes a full-grid run would; cached
-    // lanes carry bytes a fresh scalar evaluation wrote, so the spliced
-    // response is identical at --threads 1/4/0 and to an empty-cache
-    // run.  fast_math is excluded both ways: fast lanes never enter the
-    // point cache and must never be answered from it.
-    const bool lane_cache = config_.cache_capacity != 0 && !fm;
-    std::vector<std::shared_ptr<const std::string>> hit;
-    std::vector<double> missing_xs;      // kernel input (cache misses)
-    std::vector<std::size_t> lane_of;    // kernel lane j -> grid lane i
-    const lane_keys key_of{tgt, q.param};
-    std::string lane_key;
-    if (lane_cache) {
-        hit.resize(n);
-        missing_xs.reserve(n);
-        lane_of.reserve(n);
-        for (std::size_t i = 0; i < n; ++i) {
-            // get_if_present: a hit counts, a planning miss does not —
-            // the authoritative misses stay wherever evaluation runs.
-            key_of.key_into(xs[i], lane_key);
-            hit[i] = cache_.get_if_present(lane_key);
-            if (hit[i] == nullptr) {
-                missing_xs.push_back(xs[i]);
-                lane_of.push_back(i);
-            }
-        }
-    }
-    const std::vector<double>& kxs = lane_cache ? missing_xs : xs;
-    const std::size_t m = kxs.size();
+    // Fast lanes drift from the scalar bytes (DESIGN.md §15), so they
+    // never enter the point cache and are never answered from it.
+    const std::size_t n = xs.size();
 
     // Expand one payload member into a parameter column: the swept
-    // member carries the (cache-missing) grid, everything else is a
-    // constant lane.
+    // member carries the grid, everything else is a constant lane.
     const auto col = [&](const double& member) {
-        std::vector<double> v(m, member);
+        std::vector<double> v(n, member);
         if (&member == slot) {
-            std::copy(kxs.begin(), kxs.end(), v.begin());
+            std::copy(xs.begin(), xs.end(), v.begin());
         }
         return v;
     };
     const auto shard = [&](auto&& body) {
         exec::parallel_for(
-            m, config_.parallelism,
+            n, config_.parallelism,
             [&](const exec::shard_range& r) {
                 body(r.begin, r.end - r.begin);
             },
             cancel);
     };
-    // Answers every lane: kernel lanes from `out`, cached lanes from the
-    // cache.  Kernel lanes also enter the point cache under the key of
-    // their point request, with the bytes that point request writes, so
-    // a post-sweep point query is a warm hit.  NaN (scalar-throw) lanes
-    // are never cached — errors never are.
-    const auto emit = [&](const std::vector<double>& out) {
-        for (std::size_t j = 0; j < m; ++j) {
-            ys[lane_cache ? lane_of[j] : j] = out[j];
-        }
-        if (!lane_cache) {
-            return;
-        }
-        const char* metric = primary_metric(tgt.op);
-        for (std::size_t i = 0; i < n; ++i) {
-            if (hit[i] != nullptr) {
-                ys[i] = cached_metric(*hit[i], metric);
-            }
-        }
-        request local = tgt;
-        double* lslot = numeric_param_ptr(local, q.param);
-        std::string body;
-        for (std::size_t j = 0; j < m; ++j) {
-            if (std::isnan(out[j])) {
-                continue;
-            }
-            if (cancel != nullptr && cancel->expired()) {
-                return;  // best effort: the response needs no cache
-            }
-            *lslot = kxs[j];
-            body.clear();
-            try {
-                (void)result_into(local, body, nullptr);
-                key_of.key_into(kxs[j], lane_key);
-                cache_.put(lane_key, body);
-            } catch (const std::exception&) {
-                // Side values threw where the metric did not: skip.
-            }
-        }
-    };
+    double* out = ys.data();
 
-    std::vector<double> out(m);
     // Scenario #1 is scenario #2 without the reference-yield column.
-    const auto scenario = [&](const auto& t, auto kernel, auto fast_kernel) {
+    const auto scenario = [&](const auto& t, auto kernel) {
         const auto lambda = col(t.lambda_um), c0 = col(t.c0_usd),
                    x = col(t.x), r = col(t.wafer_radius_cm),
                    dd = col(t.design_density);
@@ -902,35 +830,31 @@ bool engine::kernel_lanes(const sweep_request& q,
             if constexpr (requires { t.y0; }) {
                 cols.y0 = y0.data() + b;
             }
-            (fm ? fast_kernel : kernel)(cols, out.data() + b, len);
+            kernel(cols, out + b, len);
         });
     };
     if (tgt.op == op_code::scenario1) {
         scenario(std::get<scenario1_request>(tmp.payload),
-                 cost::batch::scenario1_cost_per_transistor,
                  cost::batch::scenario1_cost_per_transistor_fast);
     } else if (tgt.op == op_code::scenario2) {
         scenario(std::get<scenario2_request>(tmp.payload),
-                 cost::batch::scenario2_cost_per_transistor,
                  cost::batch::scenario2_cost_per_transistor_fast);
     } else if (const auto& t = std::get<yield_request>(tmp.payload);
                t.model == "scaled_poisson") {
         const auto area = col(t.die_area_cm2), lambda = col(t.lambda_um),
                    d = col(t.d), p = col(t.p);
         shard([&](std::size_t b, std::size_t len) {
-            (fm ? yield::batch::scaled_poisson_yield_fast
-                : yield::batch::scaled_poisson_yield)(
+            yield::batch::scaled_poisson_yield_fast(
                 area.data() + b, lambda.data() + b, d.data() + b,
-                p.data() + b, out.data() + b, len);
+                p.data() + b, out + b, len);
         });
     } else if (t.model == "reference") {
         const auto area = col(t.die_area_cm2), y0 = col(t.y0),
                    a0 = col(t.a0_cm2);
         shard([&](std::size_t b, std::size_t len) {
-            (fm ? yield::batch::reference_yield_fast
-                : yield::batch::reference_yield)(
-                area.data() + b, y0.data() + b, a0.data() + b,
-                out.data() + b, len);
+            yield::batch::reference_yield_fast(area.data() + b,
+                                               y0.data() + b, a0.data() + b,
+                                               out + b, len);
         });
     } else {
         // poisson | murphy | seeds | bose_einstein | neg_binomial
@@ -951,27 +875,21 @@ bool engine::kernel_lanes(const sweep_request& q,
                                                                : f;
             }
             if (t.model == "poisson") {
-                (fm ? yield::batch::poisson_yield_fast
-                    : yield::batch::poisson_yield)(faults.data(),
-                                                   out.data() + b, len);
+                yield::batch::poisson_yield_fast(faults.data(), out + b,
+                                                 len);
             } else if (t.model == "murphy") {
-                (fm ? yield::batch::murphy_yield_fast
-                    : yield::batch::murphy_yield)(faults.data(),
-                                                  out.data() + b, len);
+                yield::batch::murphy_yield_fast(faults.data(), out + b, len);
             } else if (t.model == "seeds") {
-                yield::batch::seeds_yield(faults.data(), out.data() + b, len);
+                yield::batch::seeds_yield_fast(faults.data(), out + b, len);
             } else if (t.model == "bose_einstein") {
-                (fm ? yield::batch::bose_einstein_yield_fast
-                    : yield::batch::bose_einstein_yield)(
-                    faults.data(), t.critical_steps, out.data() + b, len);
+                yield::batch::bose_einstein_yield_fast(
+                    faults.data(), t.critical_steps, out + b, len);
             } else {
-                (fm ? yield::batch::negative_binomial_yield_fast
-                    : yield::batch::negative_binomial_yield)(
-                    faults.data(), alpha.data() + b, out.data() + b, len);
+                yield::batch::negative_binomial_yield_fast(
+                    faults.data(), alpha.data() + b, out + b, len);
             }
         });
     }
-    emit(out);
     return true;
 }
 
@@ -979,15 +897,16 @@ void engine::point_lanes(const sweep_request& q,
                          const std::vector<double>& xs,
                          std::vector<double>& ys,
                          const exec::cancel_token* cancel) {
-    // Typed per-lane evaluation for targets without an SoA kernel
-    // (cost_tr, gross_die, chiplet, mc_yield) and for swept
-    // integer-valued parameters: each shard writes lane values into its
-    // own copy of the target request and runs the endpoint writer on it.
-    // A lane whose point request would fail schema validation (a
-    // non-integral or out-of-range integer) is null without evaluating.
-    // Lanes the point cache holds are spliced, and evaluated lanes enter
-    // it under their point request's key — cached bytes are a fresh
-    // scalar evaluation's, so the response is byte-identical either way.
+    // The exact lane path, for every target: each shard writes lane
+    // values into its own copy of the target request and runs the
+    // endpoint writer on it once, taking the lane value from the
+    // writer's primary metric.  A lane whose point request would fail
+    // schema validation (a non-finite grid value, a non-integral or
+    // out-of-range integer) is null without evaluating.  Lanes the
+    // point cache holds are spliced, and evaluated lanes enter it under
+    // their point request's key with the bytes that request writes — so
+    // the response is byte-identical either way, and a post-sweep point
+    // query is a warm hit.  Errors (null lanes) are never cached.
     // A lane's catch may swallow a cancelled_error thrown by a nested
     // mc_yield evaluation (null slot), but the cancellable parallel_for
     // re-raises after the join — the expired token is sticky — so a

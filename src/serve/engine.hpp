@@ -37,16 +37,14 @@
 //     completes.  Error responses are never coalesced — a twin whose
 //     representative failed re-evaluates individually, and every
 //     response keeps its own `id`.
-//   * SoA sweep kernels: eligible sweep targets (scenario #1/#2, every
-//     yield model, over a double parameter) and partition_explore
-//     evaluate on the structure-of-arrays batch kernels in
-//     yield/batch.hpp, cost/batch.hpp and chiplet/batch.hpp, each lane
-//     bit-identical to its point request.  Every other sweep (cost_tr,
-//     gross_die, chiplet and mc_yield targets, swept integer-valued
-//     parameters) takes the one typed per-lane path: each lane writes
-//     its grid value into a copy of the target request and runs the
-//     endpoint writer, and is null exactly when its point request
-//     would fail.
+//   * One exact sweep-lane path: each lane writes its grid value into
+//     a copy of the target request and runs the endpoint writer once,
+//     so it is bit-identical to its point request and null exactly when
+//     that request would fail; lanes share the point cache both ways.
+//     partition_explore cells run the chiplet/batch.hpp kernel (a loop
+//     over the scalar chiplet model).  Under fast_math, sweeps over
+//     scenario #1/#2 and the yield models (a double parameter) run the
+//     *_fast SoA kernels in yield/batch.hpp and cost/batch.hpp instead.
 //   * Parallel kernels: endpoints that are themselves parallel
 //     (mc_yield) inherit the engine parallelism; nested use inside a
 //     batch degrades to serial per the exec engine rules, with
@@ -85,17 +83,18 @@ struct engine_config {
     std::size_t cache_capacity = 65536;
     /// Cache shard count (see memo_cache).
     std::size_t cache_shards = 16;
-    /// Route sweep/partition_explore kernels through the *_fast
-    /// variants (vector transcendentals via simd/math.hpp, dispatched
-    /// once per process to AVX2/NEON/scalar — see simd/dispatch.hpp).
-    /// Off (the default) keeps every response bit-identical to the
-    /// scalar library; on, sweep curve values may drift from the
-    /// scalar path within the ULP bounds documented in DESIGN.md §15
-    /// (NaN/null lanes are still classified identically), results
-    /// remain deterministic across thread counts and repeat runs on
-    /// the same host, and fast lanes never populate the per-point
-    /// memoization cache (point queries must keep returning scalar
-    /// bytes).  Do not enable under golden/bit-exact workflows.
+    /// Evaluate scenario #1/#2 and yield sweeps and partition_explore
+    /// cells on the *_fast SoA kernels (vector transcendentals via
+    /// simd/math.hpp, dispatched once per process to AVX2/NEON/scalar —
+    /// see simd/dispatch.hpp) instead of the scalar models.  Off (the
+    /// default) keeps every response bit-identical to the scalar
+    /// library; on, sweep curve values may drift from the scalar path
+    /// within the ULP bounds documented in DESIGN.md §15 (NaN/null
+    /// lanes of finite grid values are still classified identically),
+    /// results remain deterministic across thread counts and repeat
+    /// runs on the same host, and fast lanes never populate the
+    /// per-point memoization cache (point queries must keep returning
+    /// scalar bytes).  Do not enable under golden/bit-exact workflows.
     bool fast_math = false;
     /// Resource budgets and overload behavior (limits.hpp); all
     /// defaults are 0/off, so an unconfigured engine is byte-identical
@@ -242,13 +241,15 @@ private:
 
     void sweep_into(const sweep_request& q, std::string& out,
                     const exec::cancel_token* cancel);
-    /// Sweep lanes on the SoA kernels (scenario #1/#2 and every yield
-    /// model over a double parameter); false = not kernel-eligible.
-    bool kernel_lanes(const sweep_request& q, const std::vector<double>& xs,
-                      std::vector<double>& ys,
-                      const exec::cancel_token* cancel);
-    /// Sweep lanes evaluated one point request at a time (every other
-    /// target, and swept integer-valued parameters).
+    /// fast_math sweep lanes on the *_fast SoA kernels (scenario #1/#2
+    /// and every yield model over a double parameter), bypassing the
+    /// point cache; false = no fast kernel for this sweep.
+    bool fast_lanes(const sweep_request& q, const std::vector<double>& xs,
+                    std::vector<double>& ys,
+                    const exec::cancel_token* cancel);
+    /// Sweep lanes evaluated one point request at a time through the
+    /// endpoint writer, sharing the point cache: every exact sweep, and
+    /// fast_math sweeps without a fast kernel.
     void point_lanes(const sweep_request& q, const std::vector<double>& xs,
                      std::vector<double>& ys,
                      const exec::cancel_token* cancel);

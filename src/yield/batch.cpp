@@ -1,137 +1,72 @@
 #include "yield/batch.hpp"
 
-#include <cmath>
-#include <limits>
+#include "core/lanes.hpp"
+#include "yield/models.hpp"
+#include "yield/scaled.hpp"
 
 namespace silicon::yield::batch {
 
-namespace {
-
-constexpr double nan_lane = std::numeric_limits<double>::quiet_NaN();
-
-}  // namespace
+using core::eval_lanes;
 
 void poisson_yield(const double* expected_faults, double* out,
                    std::size_t n) {
-    for (std::size_t i = 0; i < n; ++i) {
-        const double f = expected_faults[i];
-        // poisson_model::yield's require_nonnegative guard.
-        out[i] = !(f >= 0.0) ? nan_lane : std::exp(-f);
-    }
+    eval_lanes(out, n, [&](std::size_t i) {
+        return poisson_model{}.yield(expected_faults[i]).value();
+    });
 }
 
 void murphy_yield(const double* expected_faults, double* out,
                   std::size_t n) {
-    for (std::size_t i = 0; i < n; ++i) {
-        const double f = expected_faults[i];
-        if (!(f >= 0.0)) {
-            out[i] = nan_lane;
-            continue;
-        }
-        // murphy_model::yield: linearized below 1e-9 to keep full
-        // precision (same branch, same association).
-        double y;
-        if (f < 1e-9) {
-            const double lin = 1.0 - 0.5 * f;
-            y = lin * lin;
-        } else {
-            const double t = (1.0 - std::exp(-f)) / f;
-            y = t * t;
-        }
-        out[i] = !(y >= 0.0 && y <= 1.0) ? nan_lane : y;
-    }
+    eval_lanes(out, n, [&](std::size_t i) {
+        return murphy_model{}.yield(expected_faults[i]).value();
+    });
 }
 
 void seeds_yield(const double* expected_faults, double* out,
                  std::size_t n) {
-    for (std::size_t i = 0; i < n; ++i) {
-        const double f = expected_faults[i];
-        out[i] = !(f >= 0.0) ? nan_lane : 1.0 / (1.0 + f);
-    }
+    eval_lanes(out, n, [&](std::size_t i) {
+        return seeds_model{}.yield(expected_faults[i]).value();
+    });
 }
 
 void bose_einstein_yield(const double* expected_faults, int critical_steps,
                          double* out, std::size_t n) {
-    if (critical_steps < 1) {
-        // bose_einstein_model's constructor throw: every lane invalid.
-        for (std::size_t i = 0; i < n; ++i) {
-            out[i] = nan_lane;
-        }
-        return;
-    }
-    const double steps = static_cast<double>(critical_steps);
-    for (std::size_t i = 0; i < n; ++i) {
-        const double f = expected_faults[i];
-        if (!(f >= 0.0)) {
-            out[i] = nan_lane;
-            continue;
-        }
-        const double per_step = f / steps;
-        const double y = std::pow(1.0 + per_step, -steps);
-        out[i] = !(y >= 0.0 && y <= 1.0) ? nan_lane : y;
-    }
+    eval_lanes(out, n, [&](std::size_t i) {
+        return bose_einstein_model{critical_steps}
+            .yield(expected_faults[i])
+            .value();
+    });
 }
 
 void negative_binomial_yield(const double* expected_faults,
                              const double* alpha, double* out,
                              std::size_t n) {
-    for (std::size_t i = 0; i < n; ++i) {
-        const double f = expected_faults[i];
-        const double a = alpha[i];
-        // Constructor guard (alpha > 0) before the fault-count guard —
-        // matching negative_binomial_model{alpha}.yield(f) order is
-        // irrelevant to the NaN lane, which collapses both throws.
-        if (!(a > 0.0) || !(f >= 0.0)) {
-            out[i] = nan_lane;
-            continue;
-        }
-        const double y = std::pow(1.0 + f / a, -a);
-        out[i] = !(y >= 0.0 && y <= 1.0) ? nan_lane : y;
-    }
+    eval_lanes(out, n, [&](std::size_t i) {
+        return negative_binomial_model{alpha[i]}
+            .yield(expected_faults[i])
+            .value();
+    });
 }
 
 void scaled_poisson_yield(const double* die_area_cm2,
                           const double* lambda_um, const double* d,
                           const double* p, double* out, std::size_t n) {
-    for (std::size_t i = 0; i < n; ++i) {
-        const double a = die_area_cm2[i];
-        const double l = lambda_um[i];
-        const double di = d[i];
-        const double pi = p[i];
-        // Constructor guards: scaled_poisson_model{d, p},
-        // square_centimeters{area}, microns{lambda}, then the model's
-        // own lambda > 0 requirement.
-        if (!(di >= 0.0) || !(pi > 2.0) || !(a >= 0.0) || std::isinf(a) ||
-            !(l >= 0.0) || std::isinf(l) || l <= 0.0) {
-            out[i] = nan_lane;
-            continue;
-        }
-        // Exact scalar association: area * (D / lambda^p), then
-        // exp(-faults); the probability constructor's range check maps
-        // to the NaN lane (0 * inf fault counts).
-        const double expected_faults = a * (di / std::pow(l, pi));
-        const double y = std::exp(-expected_faults);
-        out[i] = !(y >= 0.0 && y <= 1.0) ? nan_lane : y;
-    }
+    eval_lanes(out, n, [&](std::size_t i) {
+        return scaled_poisson_model{d[i], p[i]}
+            .yield(square_centimeters{die_area_cm2[i]},
+                   microns{lambda_um[i]})
+            .value();
+    });
 }
 
 void reference_yield(const double* die_area_cm2, const double* y0,
                      const double* a0_cm2, double* out, std::size_t n) {
-    for (std::size_t i = 0; i < n; ++i) {
-        const double a = die_area_cm2[i];
-        const double y0i = y0[i];
-        const double a0i = a0_cm2[i];
-        // Constructor guards: probability{y0}, square_centimeters{a0},
-        // reference_die_yield{y0, a0} (y0 > 0, a0 > 0), then the area
-        // argument's own unit check.
-        if (!(y0i >= 0.0 && y0i <= 1.0) || y0i <= 0.0 || !(a0i >= 0.0) ||
-            std::isinf(a0i) || a0i <= 0.0 || !(a >= 0.0) || std::isinf(a)) {
-            out[i] = nan_lane;
-            continue;
-        }
-        const double y = std::pow(y0i, a / a0i);
-        out[i] = !(y >= 0.0 && y <= 1.0) ? nan_lane : y;
-    }
+    eval_lanes(out, n, [&](std::size_t i) {
+        return reference_die_yield{probability{y0[i]},
+                                   square_centimeters{a0_cm2[i]}}
+            .yield(square_centimeters{die_area_cm2[i]})
+            .value();
+    });
 }
 
 }  // namespace silicon::yield::batch

@@ -2,11 +2,8 @@
 
 #include "analysis/sweep.hpp"
 
-#include "yield/batch.hpp"
-
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <stdexcept>
 
 namespace silicon::analysis {
@@ -87,40 +84,6 @@ TEST(Grid, EmptyAxesRejected) {
 TEST(Grid, EmptyGridStatisticsThrow) {
     grid g;
     EXPECT_THROW((void)g.min_value(), std::domain_error);
-}
-
-TEST(SweepBatch, MatchesScalarSweepBitForBitAtEveryParallelism) {
-    // A batch evaluator backed by the SoA Poisson kernel must reproduce
-    // the scalar sweep exactly: lanes are independent, so sharding a
-    // contiguous range through the kernel cannot change any bit.
-    const std::vector<double> xs = linspace(0.0, 6.0, 97);
-    const auto scalar = [](double f) { return std::exp(-f); };
-    const batch_evaluator batched = [](const double* in, double* out,
-                                       std::size_t n) {
-        silicon::yield::batch::poisson_yield(in, out, n);
-    };
-    const series expected = sweep("poisson", xs, scalar, 1);
-    for (unsigned parallelism : {1u, 4u, 0u}) {
-        const series got = sweep_batch("poisson", xs, batched, parallelism);
-        ASSERT_EQ(got.size(), expected.size());
-        for (std::size_t i = 0; i < expected.size(); ++i) {
-            EXPECT_EQ(got.points()[i].y, expected.points()[i].y)
-                << "parallelism=" << parallelism << " i=" << i;
-        }
-    }
-}
-
-TEST(SweepBatch, EmptyGridAndSinglePoint) {
-    const batch_evaluator batched = [](const double* in, double* out,
-                                       std::size_t n) {
-        for (std::size_t i = 0; i < n; ++i) {
-            out[i] = 2.0 * in[i];
-        }
-    };
-    EXPECT_EQ(sweep_batch("empty", {}, batched).size(), 0u);
-    const series one = sweep_batch("one", {3.0}, batched, 0);
-    ASSERT_EQ(one.size(), 1u);
-    EXPECT_DOUBLE_EQ(one.points()[0].y, 6.0);
 }
 
 }  // namespace

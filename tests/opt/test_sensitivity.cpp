@@ -61,63 +61,6 @@ TEST(Elasticities, RejectsBadStep) {
                  std::invalid_argument);
 }
 
-TEST(BatchedElasticities, MatchesScalarOverloadExactly) {
-    // The batched overload sees [nominal, up_0, down_0, ...] in one
-    // call; the reduction must be bit-identical to the scalar loop.
-    const auto scalar = [](const std::vector<double>& v) {
-        return v[0] * v[0] / v[1] * std::sqrt(v[3]);
-    };
-    const batch_objective batched = [&](
-        const std::vector<std::vector<double>>& points,
-        std::vector<double>& out) {
-        out.resize(points.size());
-        for (std::size_t k = 0; k < points.size(); ++k) {
-            out[k] = scalar(points[k]);
-        }
-    };
-    const std::vector<parameter> params = {
-        {"a", 3.0}, {"b", 2.0}, {"zero", 0.0}, {"c", 4.0}};
-    const auto expected = elasticities(scalar, params);
-    const auto got = elasticities(batched, params);
-    ASSERT_EQ(got.size(), expected.size());
-    for (std::size_t i = 0; i < expected.size(); ++i) {
-        EXPECT_EQ(got[i].name, expected[i].name);
-        EXPECT_EQ(got[i].nominal, expected[i].nominal);
-        EXPECT_EQ(got[i].value, expected[i].value);  // bit-identical
-    }
-}
-
-TEST(BatchedElasticities, ValidatesLikeScalarOverload) {
-    const batch_objective negative = [](
-        const std::vector<std::vector<double>>& points,
-        std::vector<double>& out) {
-        out.assign(points.size(), -1.0);
-    };
-    const std::vector<parameter> params = {{"x", 1.0}};
-    EXPECT_THROW((void)elasticities(negative, params), std::domain_error);
-
-    // A probe point going non-positive names the offending parameter.
-    const batch_objective probe_fails = [](
-        const std::vector<std::vector<double>>& points,
-        std::vector<double>& out) {
-        out.assign(points.size(), 1.0);
-        out.back() = 0.0;  // down-probe of the last parameter
-    };
-    try {
-        (void)elasticities(probe_fails, {{"a", 1.0}, {"b", 2.0}});
-        FAIL() << "expected domain_error";
-    } catch (const std::domain_error& e) {
-        EXPECT_NE(std::string{e.what()}.find("'b'"), std::string::npos);
-    }
-
-    // Wrong cardinality from the batch callable is rejected.
-    const batch_objective short_out = [](
-        const std::vector<std::vector<double>>&,
-        std::vector<double>& out) { out.assign(1, 1.0); };
-    EXPECT_THROW((void)elasticities(short_out, params),
-                 std::invalid_argument);
-}
-
 TEST(Ranked, SortsByMagnitude) {
     std::vector<elasticity> rows = {
         {"small", 0.1, 1.0}, {"large-negative", -3.0, 1.0},

@@ -255,9 +255,10 @@ TEST(Engine, StatsEndpointIsLive) {
 }
 
 TEST(Engine, SweepSharesCacheWithPointQueries) {
-    // Point/sweep cache sharing: the kernel sweep planner answers a
-    // pre-warmed grid point from the cache (and its lanes populate the
-    // same cache, so the sharing is bidirectional).
+    // Point/sweep cache sharing: a sweep lane probes its point
+    // request's key, so a pre-warmed grid point is answered from the
+    // cache (and evaluated lanes populate the same cache, so the
+    // sharing is bidirectional).
     serve::engine engine{config_with(1)};
     // Pre-answer one grid point as a standalone request.
     (void)engine.handle_line(R"({"op":"scenario1","lambda_um":0.5})");
@@ -272,11 +273,10 @@ TEST(Engine, SweepSharesCacheWithPointQueries) {
 }
 
 TEST(Engine, SweepKernelLanesPopulateThePointCache) {
-    // PR 4 follow-up: kernel-evaluated grid points land in the
-    // memoization cache under their point-request canonical keys, with
-    // bytes identical to a fresh scalar evaluation — so a post-sweep
-    // point query is a warm hit, for SoA-kernel and typed-per-lane
-    // targets alike.
+    // Evaluated grid points land in the memoization cache under their
+    // point-request canonical keys, with bytes identical to a fresh
+    // scalar evaluation — so a post-sweep point query is a warm hit,
+    // for every sweep target.
     const std::vector<std::pair<std::string, std::string>> cases = {
         {R"({"op":"sweep","param":"lambda_um","from":0.5,"to":1.0,
              "count":2,"target":{"op":"scenario1"}})",
@@ -290,7 +290,7 @@ TEST(Engine, SweepKernelLanesPopulateThePointCache) {
         {R"({"op":"sweep","param":"die_area_cm2","from":0.5,"to":1.5,
              "count":2,"target":{"op":"yield","model":"reference"}})",
          R"({"op":"yield","model":"reference","die_area_cm2":1.5})"},
-        // Typed per-lane targets (no SoA kernel) share the cache too.
+        // gross_die and chiplet targets share the cache too.
         {R"({"op":"sweep","param":"die_width_mm","from":5,"to":9,
              "count":2,"target":{"op":"gross_die"}})",
          R"({"op":"gross_die","die_width_mm":9})"},
@@ -314,11 +314,11 @@ TEST(Engine, SweepKernelLanesPopulateThePointCache) {
 }
 
 TEST(Engine, CacheAwareSweepSplicesPrewarmedLanes) {
-    // The kernel sweep planner probes the point cache per lane, runs the
-    // batch kernel over the missing lanes only, and splices the cached
-    // bytes back in lane order — so a pre-warmed grid point is served
-    // from memory and the response stays byte-identical at every thread
-    // count.  Grid [1,5]x5 has exact-double lanes {1,2,3,4,5}.
+    // Each sweep lane probes the point cache, evaluates only when it
+    // misses, and reads a hit's metric back from the cached bytes — so
+    // a pre-warmed grid point is served from memory and the response
+    // stays byte-identical at every thread count.  Grid [1,5]x5 has
+    // exact-double lanes {1,2,3,4,5}.
     const std::string sweep =
         R"({"op":"sweep","param":"lambda_um","from":1,"to":5,"count":5,
             "target":{"op":"scenario1"}})";
@@ -341,9 +341,9 @@ TEST(Engine, CacheAwareSweepSplicesPrewarmedLanes) {
 
 TEST(Engine, FullyCachedSweepIsByteIdenticalToCold) {
     // A coarser sweep whose grid is a subset of an earlier fine sweep
-    // finds every lane in the cache: the kernel runs over zero lanes
-    // and the response is pure splice — still byte-identical to a
-    // cache-disabled engine's answer.
+    // finds every lane in the cache: no lane evaluates and the response
+    // is pure splice — still byte-identical to a cache-disabled
+    // engine's answer.
     const std::string fine =
         R"({"op":"sweep","param":"lambda_um","from":1,"to":5,"count":5,
             "target":{"op":"scenario2","y0":0.8}})";
@@ -428,6 +428,32 @@ TEST(Engine, SweepInfeasiblePointsAreNull) {
     ASSERT_EQ(ys.size(), 3u);
     EXPECT_TRUE(ys[0].is_number());
     EXPECT_TRUE(ys[2].is_null());
+}
+
+TEST(Engine, NonFiniteGridLanesAreNullWarmOrCold) {
+    // An overflowing grid yields non-finite lane values (printed as
+    // null in xs).  No point request can carry them, so their lanes are
+    // null without evaluating — for every target, and whether or not an
+    // earlier sweep over the same target warmed the cache (NaN and
+    // +inf lanes print the same key, so a cached +inf lane must never
+    // answer a NaN lane).
+    const std::string warm_up =
+        R"({"op":"sweep","param":"alpha","from":-1.7e308,"to":1.7e308,)"
+        R"("count":3,"target":{"op":"yield","model":"neg_binomial",)"
+        R"("expected_faults":1}})";
+    const std::string sweep =
+        R"({"op":"sweep","param":"alpha","from":-1.7e308,"to":1.7e308,)"
+        R"("count":4,"target":{"op":"yield","model":"neg_binomial",)"
+        R"("expected_faults":1}})";
+    const std::string nulls =
+        R"("xs":[null,null,null,null],"ys":[null,null,null,null])";
+    for (const std::size_t cache_capacity : {std::size_t{65536},
+                                             std::size_t{0}}) {
+        serve::engine engine{config_with(1, cache_capacity)};
+        (void)engine.handle_line(warm_up);
+        EXPECT_NE(engine.handle_line(sweep).find(nulls), std::string::npos)
+            << "cache_capacity=" << cache_capacity;
+    }
 }
 
 TEST(Engine, EmptyBatch) {
@@ -542,9 +568,10 @@ std::string point_line(json::value target, const std::string& param,
 TEST(Engine, SweepKernelMatchesGenericPath) {
     // A lane equals its point query: every ys[i] of a sweep is the
     // primary metric of the matching point request on a fresh engine,
-    // and null exactly when that point errors — for every
-    // kernel-eligible target (the seven yield models, scenario #1/#2)
-    // and the typed per-lane targets, at every thread count.
+    // and null exactly when that point errors — for every sweep target
+    // (the seven yield models, scenario #1/#2, cost_tr, gross_die,
+    // chiplet, mc_yield), with the lane cache on and off, at every
+    // thread count.
     const std::vector<std::string> sweeps = {
         R"({"op":"sweep","param":"lambda_um","from":0.5,"to":1.5,"count":7,
             "target":{"op":"scenario1"}})",
@@ -611,31 +638,37 @@ TEST(Engine, SweepKernelMatchesGenericPath) {
         R"({"op":"sweep","param":"scribe_mm","from":-0.5,"to":2,"count":6,
             "target":{"op":"gross_die","method":"exact"}})",
     };
-    for (unsigned parallelism : {1u, 4u, 0u}) {
-        serve::engine engine{config_with(parallelism)};
-        for (const std::string& line : sweeps) {
-            SCOPED_TRACE(line);
-            const json::value request = json::parse(line);
-            const json::object& sweep = request.as_object();
-            const json::value& target = *sweep.find("target");
-            const std::string& param = sweep.find("param")->as_string();
-            const serve::op_code op = *serve::op_from_string(
-                target.as_object().find("op")->as_string());
+    const std::size_t on = serve::engine_config{}.cache_capacity;
+    for (const std::size_t cache_capacity : {on, std::size_t{0}}) {
+        for (unsigned parallelism : {1u, 4u, 0u}) {
+            serve::engine engine{config_with(parallelism, cache_capacity)};
+            for (const std::string& line : sweeps) {
+                SCOPED_TRACE(line);
+                const json::value request = json::parse(line);
+                const json::object& sweep = request.as_object();
+                const json::value& target = *sweep.find("target");
+                const std::string& param =
+                    sweep.find("param")->as_string();
+                const serve::op_code op = *serve::op_from_string(
+                    target.as_object().find("op")->as_string());
 
-            const json::value response = json::parse(engine.handle_line(line));
-            const json::object& result =
-                response.as_object().find("result")->as_object();
-            const json::array& xs = result.find("xs")->as_array();
-            const json::array& ys = result.find("ys")->as_array();
-            ASSERT_EQ(xs.size(), ys.size());
-            serve::engine fresh{config_with(parallelism)};
-            for (std::size_t i = 0; i < xs.size(); ++i) {
-                EXPECT_EQ(json::dump(ys[i]),
-                          point_metric(fresh,
-                                       point_line(target, param,
-                                                  xs[i].as_number()),
-                                       op))
-                    << "parallelism=" << parallelism << " lane=" << i;
+                const json::value response =
+                    json::parse(engine.handle_line(line));
+                const json::object& result =
+                    response.as_object().find("result")->as_object();
+                const json::array& xs = result.find("xs")->as_array();
+                const json::array& ys = result.find("ys")->as_array();
+                ASSERT_EQ(xs.size(), ys.size());
+                serve::engine fresh{config_with(parallelism)};
+                for (std::size_t i = 0; i < xs.size(); ++i) {
+                    EXPECT_EQ(json::dump(ys[i]),
+                              point_metric(fresh,
+                                           point_line(target, param,
+                                                      xs[i].as_number()),
+                                           op))
+                        << "cache_capacity=" << cache_capacity
+                        << " parallelism=" << parallelism << " lane=" << i;
+                }
             }
         }
     }

@@ -345,10 +345,10 @@ TEST_F(HotPathAllocations, WarmHitsAcrossEndpointsAllocateNothing) {
 TEST_F(HotPathAllocations, ColdMissWithCacheDisabledAllocatesNothing) {
     // The cold-path arena gate: with the memoization cache disabled,
     // *every* request is a cold miss, and for the point endpoints whose
-    // library evaluation allocates nothing (the closed forms, cost_tr,
-    // chiplet) the hot path evaluates the library directly and
-    // serializes into a reused per-thread buffer — zero allocations
-    // once buffers have grown (warm-up is inside
+    // library evaluation allocates nothing (the closed forms, the exact
+    // gross-die search, cost_tr, chiplet) the hot path evaluates the
+    // library directly and serializes into a reused per-thread buffer —
+    // zero allocations once buffers have grown (warm-up is inside
     // warm_hit_allocations).  The cache put is skipped entirely at
     // capacity 0, so no copy of the response is taken either.
     serve::engine_config config = fast_config();
@@ -369,6 +369,9 @@ TEST_F(HotPathAllocations, ColdMissWithCacheDisabledAllocatesNothing) {
         R"({"op":"gross_die","die_width_mm":12,"die_height_mm":9})",
         R"({"op":"gross_die","die_width_mm":7,"die_height_mm":7,)"
         R"("method":"ferris_prabhu","scribe_mm":0.1})",
+        // The exact placement search counts without storing rows.
+        R"({"op":"gross_die","die_width_mm":9,"die_height_mm":11,)"
+        R"("method":"exact","scribe_mm":0.2})",
         R"({"id":"t","op":"scenario1","trace_id":"req-cold-1"})",
         // cost_tr and chiplet misses run the same writer-based
         // serializer as the closed-form ops.
@@ -377,6 +380,7 @@ TEST_F(HotPathAllocations, ColdMissWithCacheDisabledAllocatesNothing) {
         R"({"op":"cost_tr","process":{"yield":{"model":"scaled"},)"
         R"("gross_die_method":"maly_rows_best_orient"},)"
         R"("economics":{"volume_wafers":500}})",
+        R"({"op":"cost_tr","process":{"gross_die_method":"exact"}})",
         R"({"id":9,"op":"chiplet","chiplets":4,"substrate":"rdl",)"
         R"("d2d_area_mm2":8})",
         R"({"op":"chiplet","substrate":"interposer","logic_area_mm2":120})",
