@@ -193,7 +193,7 @@ private:
                     ? q.from * std::exp(t * std::log(q.to / q.from))
                     : q.from + t * (q.to - q.from);
             xs.emplace_back(x);
-            json::value doc{q.target_params};
+            json::value doc = serve::request_to_json(*q.target);
             json::value* slot = &doc;
             std::size_t begin = 0;
             for (std::size_t dot = 0; dot != std::string::npos;

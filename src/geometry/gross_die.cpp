@@ -10,6 +10,14 @@ namespace {
 
 constexpr double pi = 3.14159265358979323846;
 
+// Work bounds.  A wafer radius or die edge far outside any real process
+// (the paper's wafers are 100-200 mm; 450 mm is the largest ever
+// planned) fails with std::domain_error before the loops instead of
+// holding a thread for seconds to hours.  A 450 mm wafer with a 1 mm die
+// needs 450 rows per orientation and ~1.3e7 exact cell tests.
+constexpr double max_row_scan = 1 << 20;       ///< Eq. (4) rows
+constexpr double max_cell_tests = 1 << 26;     ///< exact: cells x offsets^2
+
 /// Half chord length of a circle of radius r_mm at signed height y_mm from
 /// the center; zero outside the circle.
 double half_chord(double r_mm, double y_mm) {
@@ -25,7 +33,13 @@ long maly_row_count(const wafer& w, const die& d) {
     const double b = d.height().value();
 
     // Rows of height b stacked from the bottom of the wafer (y = -r).
-    const long rows = static_cast<long>(std::floor(2.0 * r / b));
+    const double row_scan = std::floor(2.0 * r / b);
+    if (!(row_scan <= max_row_scan)) {
+        throw std::domain_error(
+            "gross dies: Eq. (4) needs more than 1048576 die rows "
+            "(wafer radius / die edge too large)");
+    }
+    const auto rows = static_cast<long>(row_scan);
     long total = 0;
     for (long j = 0; j < rows; ++j) {
         // Chord half-lengths at the bottom and top edge of row j.
@@ -89,6 +103,15 @@ public:
                 "exact_count: offsets_per_axis must be >= 1");
         }
         const auto steps = static_cast<double>(offsets_per_axis);
+        // count() scans about (2r / pitch + 4) cells per axis.
+        const double cell_tests = (std::floor(2.0 * r_ / pitch_x_) + 4.0) *
+                                  (std::floor(2.0 * r_ / pitch_y_) + 4.0) *
+                                  steps * steps;
+        if (!(cell_tests <= max_cell_tests)) {
+            throw std::domain_error(
+                "gross dies: exact placement needs more than 67108864 "
+                "cell tests (wafer radius / die pitch too large)");
+        }
         placement_result best;
         for (int oi = 0; oi < offsets_per_axis; ++oi) {
             for (int oj = 0; oj < offsets_per_axis; ++oj) {

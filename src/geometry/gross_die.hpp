@@ -38,7 +38,9 @@ namespace silicon::geometry {
 /// Eq. (4): row-stacked whole-die count.  Rows of height b are stacked
 /// bottom-to-top across the wafer; each row holds floor(2*min(R_j,R_j+1)/a)
 /// dies.  Deterministic, centered grid (no offset search).
-/// Returns 0 when the die does not fit at all.
+/// Returns 0 when the die does not fit at all; throws std::domain_error
+/// when the scan would exceed 2^20 rows (wafer radius / die edge far
+/// beyond any real process).
 [[nodiscard]] long maly_row_count(const wafer& w, const die& d);
 
 /// Same as maly_row_count but also evaluated with the die rotated 90
@@ -77,6 +79,8 @@ struct placement_result {
 /// optional scribe/kerf spacing) at `offsets_per_axis`^2 sub-die-pitch
 /// offsets and keeps the placement maximizing whole dies inside the usable
 /// radius.  This is the ground truth the closed forms are judged against.
+/// Throws std::domain_error when the search would exceed 2^26 cell tests
+/// (grid cells x offsets^2).
 [[nodiscard]] placement_result exact_count(
     const wafer& w, const die& d,
     millimeters scribe = millimeters{0.0},

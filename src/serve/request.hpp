@@ -17,6 +17,12 @@
 // `request::canonical_key`.  Two requests that mean the same
 // evaluation — regardless of member order or omitted defaults — map to
 // the same key, which is what the engine's memoization cache keys on.
+// Cache snapshots persist these keys, so their bytes are pinned
+// (tests/serve/golden_keys.jsonl).
+//
+// The structs below hold the typed parameters; the wire schema (names,
+// kinds, checks) is declared once, as one row per field, beside the
+// parser in request_fast.cpp.
 //
 // Endpoints:
 //
@@ -36,6 +42,7 @@
 
 #include "serve/json.hpp"
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -63,6 +70,12 @@ enum class op_code {
 };
 
 inline constexpr int op_count = 11;
+
+/// Wire names by op_code.
+inline constexpr std::array<std::string_view, op_count> op_names{
+    "cost_tr",  "gross_die", "yield", "scenario1", "scenario2",
+    "table3",   "mc_yield",  "sweep", "stats",     "chiplet",
+    "partition_explore"};
 
 /// Wire name of an endpoint ("cost_tr", "gross_die", ...).
 [[nodiscard]] std::string_view to_string(op_code op);
@@ -211,9 +224,6 @@ struct request;
 /// null.  Targets `sweep` and `stats` are rejected.
 struct sweep_request {
     std::shared_ptr<const request> target;  ///< parsed target (canonical)
-    /// The target's canonical parameters, filled by `parse_request`
-    /// for request_to_json; the engine evaluates `target` alone.
-    json::object target_params;
     std::string param;
     double from = 0.0;
     double to = 1.0;
@@ -310,7 +320,7 @@ struct request {
 /// Parse and validate one request document held as a DOM: an adapter
 /// over the one schema walker, `parse_request_fast` (request_fast.hpp),
 /// that also fills the owned fields (`id`, `trace_id`, and a sweep's
-/// `target`/`target_params`).  Throws request_error on any schema
+/// `target`).  Throws request_error on any schema
 /// violation.  The DOM is re-read from its JSON text, so a non-finite
 /// number (which JSON cannot spell) reads as null.
 [[nodiscard]] request parse_request(const json::value& doc);

@@ -2,13 +2,18 @@
 
 #include "exec/arena.hpp"
 
+#include <algorithm>
 #include <array>
 #include <cmath>
 #include <cstdint>
 #include <limits>
 #include <memory>
+#include <span>
 #include <stdexcept>
 #include <string>
+#include <tuple>
+#include <type_traits>
+#include <utility>
 #include <variant>
 
 namespace silicon::serve {
@@ -17,11 +22,9 @@ namespace {
 
 using json::aview;
 
-// ---------------------------------------------------------------------------
-// Integer-valued parameters: the schema's checks, shared by the parser and
-// the sweep-lane setter (set_numeric_param), so a lane is null exactly
-// when its point request fails validation.
-// ---------------------------------------------------------------------------
+[[noreturn]] void bad_param(std::string message) {
+    throw request_error("bad_param", message);
+}
 
 bool is_int32(double v) {
     return v == std::floor(v) && std::abs(v) <= 2147483647.0;
@@ -31,22 +34,459 @@ bool is_uint53(double v) {
     return v == std::floor(v) && v >= 0.0 && v <= 9007199254740992.0;
 }
 
-bool dies_in_range(int dies) { return dies >= 1 && dies <= 100000000; }
+// ---------------------------------------------------------------------------
+// Field checks.  A row carries at most one.  The parser runs it right after
+// reading the row (an int_range marked `deferred` after the block's last
+// row), and the sweep-lane setter applies an integer row's range, so a
+// lane is null exactly when its point request fails validation.
+// ---------------------------------------------------------------------------
 
-bool chiplets_in_range(int chiplets) {
-    return chiplets >= 1 && chiplets <= 16;
+struct no_check {};
+
+/// A name registry: a typo'd model/method name fails the request before
+/// anything is evaluated (or cached inside a sweep).  The message is
+/// "<label> '<value>' (<name> | <name> ...)".  An enum row's enumerators
+/// are the registry indices.
+struct one_of {
+    std::span<const std::string_view> names;
+    std::string_view label;
+
+    [[nodiscard]] std::size_t index(std::string_view v) const {
+        return static_cast<std::size_t>(
+            std::find(names.begin(), names.end(), v) - names.begin());
+    }
+
+    [[noreturn]] void fail(std::string_view v) const {
+        std::string m{label};
+        m += " '";
+        m += v;
+        m += "' (";
+        for (std::size_t i = 0; i < names.size(); ++i) {
+            m += i == 0 ? "" : " | ";
+            m += names[i];
+        }
+        m += ')';
+        bad_param(std::move(m));
+    }
+};
+
+struct int_range {
+    int lo;
+    int hi;
+    std::string_view message;
+    bool deferred = false;  ///< checked after the block's last row
+
+    [[nodiscard]] bool accepts(int v) const { return v >= lo && v <= hi; }
+};
+
+/// A text field accepted by a predicate, with one fixed message.
+struct text_rule {
+    bool (*ok)(std::string_view);
+    std::string_view message;
+};
+
+/// On the second member of a pair: both members finite and positive.
+struct positive_pair {
+    double partition_explore_request::*first;
+    std::string_view message;
+};
+
+bool positive_finite(double v) { return std::isfinite(v) && v > 0.0; }
+
+bool linear_or_log(std::string_view s) { return s == "linear" || s == "log"; }
+
+/// A strictly ascending comma-separated list of at most 8 split counts in
+/// [1, 16] (no leading zeros) that includes 1.
+bool valid_splits(std::string_view s) {
+    int entries = 0;
+    int prev = 0;
+    bool has_one = false;
+    std::size_t i = 0;
+    while (true) {
+        if (i >= s.size() || s[i] < '1' || s[i] > '9') {
+            return false;
+        }
+        int value = 0;
+        while (i < s.size() && s[i] >= '0' && s[i] <= '9') {
+            value = value * 10 + (s[i] - '0');
+            if (value > 16) {
+                return false;
+            }
+            ++i;
+        }
+        if (value <= prev || ++entries > 8) {
+            return false;
+        }
+        has_one = has_one || value == 1;
+        prev = value;
+        if (i == s.size()) {
+            return has_one;
+        }
+        if (s[i] != ',') {
+            return false;
+        }
+        ++i;
+    }
+}
+
+template <class S, class M>
+void verify(no_check, const S&, const M&) {}
+
+template <class S>
+void verify(const one_of& c, const S&, const std::string& v) {
+    if (c.index(v) == c.names.size()) {
+        c.fail(v);
+    }
+}
+
+template <class S>
+void verify(const int_range& c, const S&, int v) {
+    if (!c.accepts(v)) {
+        bad_param(std::string{c.message});
+    }
+}
+
+template <class S>
+void verify(const text_rule& c, const S&, const std::string& v) {
+    if (!c.ok(v)) {
+        bad_param(std::string{c.message});
+    }
+}
+
+void verify(const positive_pair& c, const partition_explore_request& s,
+            double second) {
+    if (!positive_finite(s.*c.first) || !positive_finite(second)) {
+        bad_param(std::string{c.message});
+    }
+}
+
+template <class Check>
+constexpr bool deferred(const Check& check) {
+    if constexpr (std::is_same_v<Check, int_range>) {
+        return check.deferred;
+    } else {
+        return false;
+    }
+}
+
+template <class Check>
+constexpr bool accepts(const Check& check, int v) {
+    if constexpr (std::is_same_v<Check, int_range>) {
+        return check.accepts(v);
+    } else {
+        return true;
+    }
 }
 
 // ---------------------------------------------------------------------------
-// Validating field access over an arena view
+// The schema: one row per field, in read order
+// ---------------------------------------------------------------------------
+
+/// One field of block S: wire name, member and check.  The member's type
+/// is the field's kind: double (number), int (int32), std::uint64_t
+/// (non-negative integer <= 2^53), std::string (text), an enum (text
+/// from the check's registry) or a block with a schema of its own (a
+/// nested JSON object).
+template <class S, class M, class Check = no_check>
+struct row {
+    std::string_view name;
+    M S::*member;
+    Check check{};
+
+    M& of(S& s) const { return s.*member; }
+    const M& of(const S& s) const { return s.*member; }
+};
+
+/// A row of block B read flat among the fields of S through S's member
+/// `via` (partition_explore's `base` chiplet configuration).
+template <class S, class B, class M, class Check>
+struct flat_row {
+    std::string_view name;
+    B S::*via;
+    M B::*member;
+    Check check{};
+
+    M& of(S& s) const { return s.*via.*member; }
+    const M& of(const S& s) const { return s.*via.*member; }
+};
+
+template <class S, class B, class... R>
+constexpr auto flatten(B S::*via, const std::tuple<R...>& rows) {
+    return std::apply(
+        [via](const auto&... r) {
+            return std::tuple{flat_row{r.name, via, r.member, r.check}...};
+        },
+        rows);
+}
+
+/// `rows`: the fields of S in read order.  `context`: the error-message
+/// prefix of a nested block.
+template <class S>
+struct schema;
+
+/// Indexed by yield_spec_params::kind.
+constexpr std::array<std::string_view, 3> yield_spec_models{
+    "reference", "scaled", "fixed"};
+constexpr std::array<std::string_view, 6> gross_die_methods{
+    "maly_rows",     "maly_rows_best_orient", "area_ratio",
+    "circumference", "ferris_prabhu",         "exact"};
+constexpr std::array<std::string_view, 7> yield_models{
+    "poisson",      "murphy",         "seeds",    "bose_einstein",
+    "neg_binomial", "scaled_poisson", "reference"};
+constexpr std::array<std::string_view, 3> substrates{"organic", "rdl",
+                                                     "interposer"};
+
+template <>
+struct schema<yield_spec_params> {
+    using Y = yield_spec_params;
+    static constexpr std::string_view context = "process.yield";
+    static constexpr auto rows = std::tuple{
+        row{"model", &Y::model,
+            one_of{yield_spec_models, "process.yield.model: unknown model"}},
+        row{"y0", &Y::y0},
+        row{"a0_cm2", &Y::a0_cm2},
+        row{"d", &Y::d},
+        row{"p", &Y::p},
+        row{"fixed", &Y::fixed},
+    };
+};
+
+template <>
+struct schema<process_params> {
+    using P = process_params;
+    static constexpr std::string_view context = "process";
+    static constexpr auto rows = std::tuple{
+        row{"c0_usd", &P::c0_usd},
+        row{"x", &P::x},
+        row{"generation_step_um", &P::generation_step_um},
+        row{"wafer_radius_cm", &P::wafer_radius_cm},
+        row{"edge_exclusion_cm", &P::edge_exclusion_cm},
+        row{"gross_die_method", &P::gross_die_method,
+            one_of{gross_die_methods,
+                   "process.gross_die_method: unknown gross-die method"}},
+        row{"yield", &P::yield},
+    };
+};
+
+template <>
+struct schema<product_params> {
+    using P = product_params;
+    static constexpr std::string_view context = "product";
+    static constexpr auto rows = std::tuple{
+        row{"name", &P::name},
+        row{"transistors", &P::transistors},
+        row{"design_density", &P::design_density},
+        row{"feature_size_um", &P::feature_size_um},
+        row{"die_aspect_ratio", &P::die_aspect_ratio},
+    };
+};
+
+template <>
+struct schema<economics_params> {
+    using E = economics_params;
+    static constexpr std::string_view context = "economics";
+    static constexpr auto rows = std::tuple{
+        row{"overhead_usd", &E::overhead_usd},
+        row{"volume_wafers", &E::volume_wafers},
+    };
+};
+
+template <>
+struct schema<cost_tr_request> {
+    using Q = cost_tr_request;
+    static constexpr auto rows = std::tuple{
+        row{"process", &Q::process},
+        row{"product", &Q::product},
+        row{"economics", &Q::economics},
+    };
+};
+
+template <>
+struct schema<gross_die_request> {
+    using Q = gross_die_request;
+    static constexpr auto rows = std::tuple{
+        row{"wafer_radius_cm", &Q::wafer_radius_cm},
+        row{"edge_exclusion_cm", &Q::edge_exclusion_cm},
+        row{"die_width_mm", &Q::die_width_mm},
+        row{"die_height_mm", &Q::die_height_mm},
+        row{"method", &Q::method,
+            one_of{gross_die_methods, "method: unknown gross-die method"}},
+        row{"scribe_mm", &Q::scribe_mm},
+    };
+};
+
+template <>
+struct schema<yield_request> {
+    using Q = yield_request;
+    static constexpr auto rows = std::tuple{
+        row{"model", &Q::model,
+            one_of{yield_models, "yield.model: unknown model"}},
+        row{"expected_faults", &Q::expected_faults},
+        row{"die_area_cm2", &Q::die_area_cm2},
+        row{"defects_per_cm2", &Q::defects_per_cm2},
+        row{"critical_steps", &Q::critical_steps},
+        row{"alpha", &Q::alpha},
+        row{"d", &Q::d},
+        row{"p", &Q::p},
+        row{"lambda_um", &Q::lambda_um},
+        row{"y0", &Q::y0},
+        row{"a0_cm2", &Q::a0_cm2},
+    };
+};
+
+template <>
+struct schema<scenario1_request> {
+    using Q = scenario1_request;
+    static constexpr auto rows = std::tuple{
+        row{"lambda_um", &Q::lambda_um},
+        row{"c0_usd", &Q::c0_usd},
+        row{"x", &Q::x},
+        row{"wafer_radius_cm", &Q::wafer_radius_cm},
+        row{"design_density", &Q::design_density},
+    };
+};
+
+template <>
+struct schema<scenario2_request> {
+    using Q = scenario2_request;
+    static constexpr auto rows = std::tuple{
+        row{"lambda_um", &Q::lambda_um},
+        row{"c0_usd", &Q::c0_usd},
+        row{"x", &Q::x},
+        row{"wafer_radius_cm", &Q::wafer_radius_cm},
+        row{"design_density", &Q::design_density},
+        row{"y0", &Q::y0},
+    };
+};
+
+template <>
+struct schema<table3_request> {
+    static constexpr auto rows = std::tuple{
+        row{"row", &table3_request::row,
+            int_range{0, 17, "table3: row must be 0 (all) or 1-17"}},
+    };
+};
+
+template <>
+struct schema<mc_yield_request> {
+    using Q = mc_yield_request;
+    static constexpr auto rows = std::tuple{
+        row{"line_width_um", &Q::line_width_um},
+        row{"line_spacing_um", &Q::line_spacing_um},
+        row{"line_length_um", &Q::line_length_um},
+        row{"line_count", &Q::line_count},
+        row{"defect_r0_um", &Q::defect_r0_um},
+        row{"defect_p", &Q::defect_p},
+        row{"defect_q", &Q::defect_q},
+        row{"dies", &Q::dies,
+            int_range{1, 100000000, "mc_yield: dies must be in [1, 1e8]",
+                      /*deferred=*/true}},
+        row{"defects_per_um2", &Q::defects_per_um2},
+        row{"extra_material_fraction", &Q::extra_material_fraction},
+        row{"seed", &Q::seed},
+    };
+};
+
+template <>
+struct schema<stats_request> {
+    static constexpr auto rows = std::tuple{};
+};
+
+/// The chiplet configuration: every chiplet field but `chiplets`, shared
+/// by `chiplet` and `partition_explore`.
+constexpr auto chiplet_config_rows = [] {
+    using C = chiplet_request;
+    return std::tuple{
+        row{"logic_area_mm2", &C::logic_area_mm2},
+        row{"memory_area_mm2", &C::memory_area_mm2},
+        row{"io_area_mm2", &C::io_area_mm2},
+        row{"d2d_area_mm2", &C::d2d_area_mm2},
+        row{"lambda_um", &C::lambda_um},
+        row{"c0_usd", &C::c0_usd},
+        row{"x", &C::x},
+        row{"generation_step_um", &C::generation_step_um},
+        row{"wafer_radius_cm", &C::wafer_radius_cm},
+        row{"edge_exclusion_cm", &C::edge_exclusion_cm},
+        row{"defects_per_cm2", &C::defects_per_cm2},
+        row{"memory_defect_factor", &C::memory_defect_factor},
+        row{"io_defect_factor", &C::io_defect_factor},
+        row{"clustering_alpha", &C::clustering_alpha},
+        row{"test_coverage", &C::test_coverage},
+        row{"tester_rate_per_hour", &C::tester_rate_per_hour},
+        row{"test_seconds_fixed", &C::test_seconds_fixed},
+        row{"test_seconds_per_cm2", &C::test_seconds_per_cm2},
+        row{"substrate", &C::substrate,
+            one_of{substrates, "substrate: unknown substrate"}},
+        row{"substrate_cost_per_cm2", &C::substrate_cost_per_cm2},
+        row{"rdl_cost_per_cm2", &C::rdl_cost_per_cm2},
+        row{"rdl_defects_per_cm2", &C::rdl_defects_per_cm2},
+        row{"interposer_cost_per_cm2", &C::interposer_cost_per_cm2},
+        row{"interposer_defects_per_cm2", &C::interposer_defects_per_cm2},
+        row{"package_area_factor", &C::package_area_factor},
+        row{"bond_yield", &C::bond_yield},
+        row{"bonding_cost_per_chiplet", &C::bonding_cost_per_chiplet},
+    };
+}();
+
+template <>
+struct schema<chiplet_request> {
+    static constexpr auto rows = std::tuple_cat(
+        std::tuple{row{"chiplets", &chiplet_request::chiplets,
+                       int_range{1, 16,
+                                 "chiplet: chiplets must be in [1, 16]"}}},
+        chiplet_config_rows);
+};
+
+template <>
+struct schema<partition_explore_request> {
+    using Q = partition_explore_request;
+    static constexpr auto rows = std::tuple_cat(
+        flatten(&Q::base, chiplet_config_rows),
+        std::tuple{
+            row{"splits", &Q::splits,
+                text_rule{valid_splits,
+                          "partition_explore: splits must be a strictly "
+                          "ascending comma-separated list of split counts "
+                          "in [1, 16] including 1 (e.g. '1,2,4')"}},
+            row{"area_from_mm2", &Q::area_from_mm2},
+            row{"area_to_mm2", &Q::area_to_mm2,
+                positive_pair{&Q::area_from_mm2,
+                              "partition_explore: area_from_mm2/area_to_mm2 "
+                              "must be finite and positive"}},
+            row{"count", &Q::count,
+                int_range{1, 65536,
+                          "partition_explore: count must be in [1, 65536]"}},
+            row{"scale", &Q::scale,
+                text_rule{linear_or_log,
+                          "partition_explore: scale must be 'linear' or "
+                          "'log'"}},
+        });
+};
+
+template <class M>
+constexpr bool is_block = requires { schema<M>::rows; };
+
+template <class M>
+constexpr bool is_number = std::is_same_v<M, double> ||
+                           std::is_same_v<M, int> ||
+                           std::is_same_v<M, std::uint64_t>;
+
+/// Calls `f(row)` for each row of block S, in read order.
+template <class S, class F>
+void for_each_row(F&& f) {
+    std::apply([&f](const auto&... r) { (f(r), ...); }, schema<S>::rows);
+}
+
+// ---------------------------------------------------------------------------
+// Walker 1: the parser (validating field access over an arena view)
 // ---------------------------------------------------------------------------
 
 class fast_reader {
   public:
-    fast_reader(const aview& o, const char* context)
+    fast_reader(const aview& o, std::string_view context)
         : o_{o}, context_{context} {}
 
-    [[nodiscard]] double number(const char* key, double fallback) {
+    [[nodiscard]] double number(std::string_view key, double fallback) {
         const aview* v = get(key);
         if (v == nullptr) {
             return fallback;
@@ -57,7 +497,7 @@ class fast_reader {
         return v->number;
     }
 
-    [[nodiscard]] int integer(const char* key, int fallback) {
+    [[nodiscard]] int integer(std::string_view key, int fallback) {
         const aview* v = get(key);
         if (v == nullptr) {
             return fallback;
@@ -68,7 +508,7 @@ class fast_reader {
         return static_cast<int>(v->number);
     }
 
-    [[nodiscard]] std::uint64_t uinteger(const char* key,
+    [[nodiscard]] std::uint64_t uinteger(std::string_view key,
                                          std::uint64_t fallback) {
         const aview* v = get(key);
         if (v == nullptr) {
@@ -80,20 +520,19 @@ class fast_reader {
         return static_cast<std::uint64_t>(v->number);
     }
 
-    /// Assigns the member into `out` (capacity-preserving) when present;
-    /// leaves `out` (already holding the default) untouched when absent.
-    void text_into(const char* key, std::string& out) {
+    [[nodiscard]] std::string_view text(std::string_view key,
+                                        std::string_view fallback) {
         const aview* v = get(key);
         if (v == nullptr) {
-            return;
+            return fallback;
         }
         if (!v->is_string()) {
             fail_type(key, "a string");
         }
-        out.assign(v->string);
+        return v->string;
     }
 
-    [[nodiscard]] const aview* raw(const char* key) { return get(key); }
+    [[nodiscard]] const aview* raw(std::string_view key) { return get(key); }
 
     void forbid_unknown() const {
         for (std::uint32_t i = 0; i < o_.count; ++i) {
@@ -115,122 +554,94 @@ class fast_reader {
     }
 
   private:
-    const aview* get(const char* key) {
+    const aview* get(std::string_view key) {
         if (consumed_count_ >= consumed_.size()) {
-            // Unreachable: every reader consumes a fixed key list.
+            // Unreachable: every block consumes a fixed key list.
             throw std::logic_error("fast_reader: too many fields");
         }
         consumed_[consumed_count_++] = key;
         return o_.find(key);
     }
 
-    [[noreturn]] void fail_type(const char* key, const char* wanted) const {
-        throw request_error("bad_param", std::string{context_} + ": field '" +
-                                             std::string{key} +
-                                             "' must be " + wanted);
+    [[noreturn]] void fail_type(std::string_view key,
+                                const char* wanted) const {
+        bad_param(std::string{context_} + ": field '" + std::string{key} +
+                  "' must be " + wanted);
     }
 
     const aview& o_;
-    const char* context_;
-    // Sized for the widest reader: partition_explore consumes
+    std::string_view context_;
+    // Sized for the widest block: partition_explore consumes
     // op + id + deadline_ms + trace_id + 27 base fields +
     // splits/area/count/scale.
     std::array<std::string_view, 40> consumed_{};
     std::size_t consumed_count_ = 0;
 };
 
-const aview& require_object_fast(const aview& v, const char* context) {
+const aview& require_object_fast(const aview& v, std::string_view context) {
     if (!v.is_object()) {
-        throw request_error("bad_param",
-                            std::string{context} + " must be a JSON object");
+        bad_param(std::string{context} + " must be a JSON object");
     }
     return v;
 }
 
-// Parse-time name registries: a typo'd model/method name fails the
-// request before anything is evaluated (or cached inside a sweep).
+template <class S>
+void read_block(fast_reader& r, S& s);
 
-void validate_gross_die_method_fast(const std::string& name,
-                                    const char* context) {
-    for (const char* known :
-         {"maly_rows", "maly_rows_best_orient", "area_ratio", "circumference",
-          "ferris_prabhu", "exact"}) {
-        if (name == known) {
-            return;
+template <class S, class Row>
+void read_row(fast_reader& r, const Row& row, S& s) {
+    auto& m = row.of(s);
+    using M = std::remove_cvref_t<decltype(m)>;
+    if constexpr (std::is_enum_v<M>) {
+        const std::string_view name =
+            r.text(row.name, row.check.names[static_cast<std::size_t>(m)]);
+        const std::size_t i = row.check.index(name);
+        if (i == row.check.names.size()) {
+            row.check.fail(name);
+        }
+        m = static_cast<M>(i);
+    } else if constexpr (is_block<M>) {
+        if (const aview* v = r.raw(row.name)) {
+            constexpr std::string_view context = schema<M>::context;
+            fast_reader sub{require_object_fast(*v, context), context};
+            read_block(sub, m);
+            sub.forbid_unknown();
+        }
+    } else {
+        if constexpr (std::is_same_v<M, double>) {
+            m = r.number(row.name, m);
+        } else if constexpr (std::is_same_v<M, int>) {
+            m = r.integer(row.name, m);
+        } else if constexpr (std::is_same_v<M, std::uint64_t>) {
+            m = r.uinteger(row.name, m);
+        } else {
+            m.assign(r.text(row.name, m));  // capacity-preserving
+        }
+        if (!deferred(row.check)) {
+            verify(row.check, s, m);
         }
     }
-    throw request_error(
-        "bad_param",
-        std::string{context} + ": unknown gross-die method '" + name +
-            "' (maly_rows | maly_rows_best_orient | area_ratio | "
-            "circumference | ferris_prabhu | exact)");
 }
 
-void validate_yield_model_fast(const std::string& name) {
-    for (const char* known :
-         {"poisson", "murphy", "seeds", "bose_einstein", "neg_binomial",
-          "scaled_poisson", "reference"}) {
-        if (name == known) {
-            return;
+template <class S, class Row>
+void verify_deferred(const Row& row, const S& s) {
+    if constexpr (std::is_same_v<decltype(row.check), int_range>) {
+        if (row.check.deferred) {
+            verify(row.check, s, row.of(s));
         }
     }
-    throw request_error(
-        "bad_param",
-        "yield.model: unknown model '" + name +
-            "' (poisson | murphy | seeds | bose_einstein | neg_binomial | "
-            "scaled_poisson | reference)");
 }
 
-void validate_substrate_fast(const std::string& name) {
-    for (const char* known : {"organic", "rdl", "interposer"}) {
-        if (name == known) {
-            return;
-        }
-    }
-    throw request_error("bad_param",
-                        "substrate: unknown substrate '" + name +
-                            "' (organic | rdl | interposer)");
-}
-
-void validate_splits_fast(const std::string& s) {
-    static constexpr const char* bad_splits =
-        "partition_explore: splits must be a strictly ascending "
-        "comma-separated list of split counts in [1, 16] including 1 "
-        "(e.g. '1,2,4')";
-    int entries = 0;
-    int prev = 0;
-    bool has_one = false;
-    std::size_t i = 0;
-    while (true) {
-        if (i >= s.size() || s[i] < '1' || s[i] > '9') {
-            throw request_error("bad_param", bad_splits);
-        }
-        int value = 0;
-        while (i < s.size() && s[i] >= '0' && s[i] <= '9') {
-            value = value * 10 + (s[i] - '0');
-            if (value > 16) {
-                throw request_error("bad_param", bad_splits);
-            }
-            ++i;
-        }
-        if (value <= prev || ++entries > 8) {
-            throw request_error("bad_param", bad_splits);
-        }
-        if (value == 1) {
-            has_one = true;
-        }
-        prev = value;
-        if (i == s.size()) {
-            break;
-        }
-        if (s[i] != ',') {
-            throw request_error("bad_param", bad_splits);
-        }
-        ++i;
-    }
-    if (!has_one) {
-        throw request_error("bad_param", bad_splits);
-    }
+/// Reads the rows of S in order (members absent from the object keep the
+/// defaults `s` holds) and runs each check where the schema places it.
+template <class S>
+void read_block(fast_reader& r, S& s) {
+    std::apply(
+        [&](const auto&... row) {
+            (read_row(r, row, s), ...);
+            (verify_deferred(row, s), ...);
+        },
+        schema<S>::rows);
 }
 
 /// Reuses the payload alternative when the op repeats (preserving string
@@ -244,424 +655,160 @@ T& ensure_payload(request& r) {
     return r.payload.template emplace<T>();
 }
 
+/// Calls `f(std::type_identity<T>{})` with T the payload type of `op`.
+template <class F>
+void with_payload_type(op_code op, const F& f) {
+    [&]<std::size_t... I>(std::index_sequence<I...>) {
+        ((static_cast<std::size_t>(op) == I
+              ? f(std::type_identity<
+                  std::variant_alternative_t<I, request_payload>>{})
+              : void()),
+         ...);
+    }(std::make_index_sequence<std::variant_size_v<request_payload>>{});
+}
+
 // ---------------------------------------------------------------------------
-// Parameter block parsers (in place; defaults are the schema's)
+// Walker 2: the canonical key
 // ---------------------------------------------------------------------------
 
-void parse_yield_spec_fast(const aview* v, yield_spec_params& out) {
-    out = yield_spec_params{};
-    if (v == nullptr) {
-        return;
-    }
-    fast_reader r{require_object_fast(*v, "process.yield"), "process.yield"};
-    std::string model_name{"reference"};
-    r.text_into("model", model_name);
-    if (model_name == "reference") {
-        out.model = yield_spec_params::kind::reference;
-    } else if (model_name == "scaled") {
-        out.model = yield_spec_params::kind::scaled;
-    } else if (model_name == "fixed") {
-        out.model = yield_spec_params::kind::fixed;
+/// The variant index of payload S, or variant_npos for a nested block.
+template <class S>
+constexpr std::size_t payload_index() {
+    return []<std::size_t... I>(std::index_sequence<I...>) {
+        std::size_t found = std::variant_npos;
+        ((found = std::is_same_v<S, std::variant_alternative_t<
+                                        I, request_payload>>
+                      ? I
+                      : found),
+         ...);
+        return found;
+    }(std::make_index_sequence<std::variant_size_v<request_payload>>{});
+}
+
+/// The member names of S's canonical object: its rows, then "op" for an
+/// endpoint payload.
+template <class S>
+constexpr auto key_members() {
+    return std::apply(
+        [](const auto&... r) {
+            if constexpr (payload_index<S>() == std::variant_npos) {
+                return std::array<std::string_view, sizeof...(r)>{r.name...};
+            } else {
+                return std::array<std::string_view, sizeof...(r) + 1>{
+                    r.name..., "op"};
+            }
+        },
+        schema<S>::rows);
+}
+
+/// The canonical key of block S lists its members in bytewise name order
+/// (json::canonical's order).  `row[k]` is the row written k-th (the
+/// row count for "op"), and `text[at[k], at[k + 1])` the bytes before
+/// its value: `{"name":` or `,"name":` — for "op", `"op":"<wire name>"`.
+template <std::size_t N, std::size_t Bytes>
+struct key_plan {
+    std::array<std::size_t, N> row{};
+    std::array<std::size_t, N + 1> at{};
+    std::array<char, Bytes> text{};
+};
+
+template <class S>
+constexpr std::string_view op_wire_name() {
+    if constexpr (payload_index<S>() == std::variant_npos) {
+        return {};
     } else {
-        throw request_error("bad_param",
-                            "process.yield.model: unknown model '" +
-                                model_name + "' (reference | scaled | fixed)");
-    }
-    out.y0 = r.number("y0", out.y0);
-    out.a0_cm2 = r.number("a0_cm2", out.a0_cm2);
-    out.d = r.number("d", out.d);
-    out.p = r.number("p", out.p);
-    out.fixed = r.number("fixed", out.fixed);
-    r.forbid_unknown();
-}
-
-void parse_process_fast(const aview* v, process_params& out) {
-    out = process_params{};
-    if (v == nullptr) {
-        return;
-    }
-    fast_reader r{require_object_fast(*v, "process"), "process"};
-    out.c0_usd = r.number("c0_usd", out.c0_usd);
-    out.x = r.number("x", out.x);
-    out.generation_step_um =
-        r.number("generation_step_um", out.generation_step_um);
-    out.wafer_radius_cm = r.number("wafer_radius_cm", out.wafer_radius_cm);
-    out.edge_exclusion_cm =
-        r.number("edge_exclusion_cm", out.edge_exclusion_cm);
-    r.text_into("gross_die_method", out.gross_die_method);
-    validate_gross_die_method_fast(out.gross_die_method,
-                                   "process.gross_die_method");
-    parse_yield_spec_fast(r.raw("yield"), out.yield);
-    r.forbid_unknown();
-}
-
-void parse_product_fast(const aview* v, product_params& out) {
-    out = product_params{};
-    if (v == nullptr) {
-        return;
-    }
-    fast_reader r{require_object_fast(*v, "product"), "product"};
-    r.text_into("name", out.name);
-    out.transistors = r.number("transistors", out.transistors);
-    out.design_density = r.number("design_density", out.design_density);
-    out.feature_size_um = r.number("feature_size_um", out.feature_size_um);
-    out.die_aspect_ratio = r.number("die_aspect_ratio", out.die_aspect_ratio);
-    r.forbid_unknown();
-}
-
-void parse_economics_fast(const aview* v, economics_params& out) {
-    out = economics_params{};
-    if (v == nullptr) {
-        return;
-    }
-    fast_reader r{require_object_fast(*v, "economics"), "economics"};
-    out.overhead_usd = r.number("overhead_usd", out.overhead_usd);
-    out.volume_wafers = r.number("volume_wafers", out.volume_wafers);
-    r.forbid_unknown();
-}
-
-// ---------------------------------------------------------------------------
-// Endpoint payload parsers
-// ---------------------------------------------------------------------------
-
-void parse_cost_tr_fast(fast_reader& r, request& req) {
-    cost_tr_request& out = ensure_payload<cost_tr_request>(req);
-    parse_process_fast(r.raw("process"), out.process);
-    parse_product_fast(r.raw("product"), out.product);
-    parse_economics_fast(r.raw("economics"), out.economics);
-}
-
-void parse_gross_die_fast(fast_reader& r, request& req) {
-    gross_die_request& out = ensure_payload<gross_die_request>(req);
-    out.wafer_radius_cm = r.number("wafer_radius_cm", out.wafer_radius_cm);
-    out.edge_exclusion_cm =
-        r.number("edge_exclusion_cm", out.edge_exclusion_cm);
-    out.die_width_mm = r.number("die_width_mm", out.die_width_mm);
-    out.die_height_mm = r.number("die_height_mm", out.die_height_mm);
-    r.text_into("method", out.method);
-    validate_gross_die_method_fast(out.method, "method");
-    out.scribe_mm = r.number("scribe_mm", out.scribe_mm);
-}
-
-void parse_yield_fast(fast_reader& r, request& req) {
-    yield_request& out = ensure_payload<yield_request>(req);
-    r.text_into("model", out.model);
-    validate_yield_model_fast(out.model);
-    out.expected_faults = r.number("expected_faults", out.expected_faults);
-    out.die_area_cm2 = r.number("die_area_cm2", out.die_area_cm2);
-    out.defects_per_cm2 = r.number("defects_per_cm2", out.defects_per_cm2);
-    out.critical_steps = r.integer("critical_steps", out.critical_steps);
-    out.alpha = r.number("alpha", out.alpha);
-    out.d = r.number("d", out.d);
-    out.p = r.number("p", out.p);
-    out.lambda_um = r.number("lambda_um", out.lambda_um);
-    out.y0 = r.number("y0", out.y0);
-    out.a0_cm2 = r.number("a0_cm2", out.a0_cm2);
-}
-
-void parse_scenario1_fast(fast_reader& r, request& req) {
-    scenario1_request& out = ensure_payload<scenario1_request>(req);
-    out.lambda_um = r.number("lambda_um", out.lambda_um);
-    out.c0_usd = r.number("c0_usd", out.c0_usd);
-    out.x = r.number("x", out.x);
-    out.wafer_radius_cm = r.number("wafer_radius_cm", out.wafer_radius_cm);
-    out.design_density = r.number("design_density", out.design_density);
-}
-
-void parse_scenario2_fast(fast_reader& r, request& req) {
-    scenario2_request& out = ensure_payload<scenario2_request>(req);
-    out.lambda_um = r.number("lambda_um", out.lambda_um);
-    out.c0_usd = r.number("c0_usd", out.c0_usd);
-    out.x = r.number("x", out.x);
-    out.wafer_radius_cm = r.number("wafer_radius_cm", out.wafer_radius_cm);
-    out.design_density = r.number("design_density", out.design_density);
-    out.y0 = r.number("y0", out.y0);
-}
-
-void parse_table3_fast(fast_reader& r, request& req) {
-    table3_request& out = ensure_payload<table3_request>(req);
-    out.row = r.integer("row", out.row);
-    if (out.row < 0 || out.row > 17) {
-        throw request_error("bad_param",
-                            "table3: row must be 0 (all) or 1-17");
+        return op_names[payload_index<S>()];
     }
 }
 
-void parse_mc_yield_fast(fast_reader& r, request& req) {
-    mc_yield_request& out = ensure_payload<mc_yield_request>(req);
-    out.line_width_um = r.number("line_width_um", out.line_width_um);
-    out.line_spacing_um = r.number("line_spacing_um", out.line_spacing_um);
-    out.line_length_um = r.number("line_length_um", out.line_length_um);
-    out.line_count = r.integer("line_count", out.line_count);
-    out.defect_r0_um = r.number("defect_r0_um", out.defect_r0_um);
-    out.defect_p = r.number("defect_p", out.defect_p);
-    out.defect_q = r.number("defect_q", out.defect_q);
-    out.dies = r.integer("dies", out.dies);
-    out.defects_per_um2 = r.number("defects_per_um2", out.defects_per_um2);
-    out.extra_material_fraction =
-        r.number("extra_material_fraction", out.extra_material_fraction);
-    out.seed = r.uinteger("seed", out.seed);
-    if (!dies_in_range(out.dies)) {
-        throw request_error("bad_param",
-                            "mc_yield: dies must be in [1, 1e8]");
+template <class S>
+constexpr auto make_key_plan() {
+    constexpr auto names = key_members<S>();
+    constexpr std::string_view op = op_wire_name<S>();
+    constexpr std::size_t bytes = [] {
+        constexpr std::string_view wire = op_wire_name<S>();
+        std::size_t n = wire.empty() ? 0 : wire.size() + 2;  // "<wire>"
+        for (const std::string_view name : key_members<S>()) {
+            n += name.size() + 4;  // {"name": or ,"name":
+        }
+        return n;
+    }();
+    key_plan<names.size(), bytes> plan;
+    for (std::size_t i = 0; i < names.size(); ++i) {
+        plan.row[i] = i;
+    }
+    std::sort(plan.row.begin(), plan.row.end(),
+              [&](std::size_t a, std::size_t b) { return names[a] < names[b]; });
+    std::size_t n = 0;
+    const auto put = [&](std::string_view text) {
+        for (const char c : text) {
+            plan.text[n++] = c;
+        }
+    };
+    for (std::size_t k = 0; k < names.size(); ++k) {
+        plan.at[k] = n;
+        put(k == 0 ? "{\"" : ",\"");
+        put(names[plan.row[k]]);
+        put("\":");
+        if (!op.empty() && plan.row[k] == names.size() - 1) {
+            put("\"");
+            put(op);
+            put("\"");
+        }
+    }
+    plan.at[names.size()] = n;
+    return plan;
+}
+
+template <class S>
+constexpr auto key_plan_of = make_key_plan<S>();
+
+template <class S>
+void emit_key(const S& s, std::string& out);
+
+template <class M, class Check>
+void emit_value(const M& m, const Check& check, std::string& out) {
+    if constexpr (std::is_same_v<M, double>) {
+        json::format_number_into(m, out);
+    } else if constexpr (is_number<M>) {
+        json::format_number_into(static_cast<double>(m), out);
+    } else if constexpr (std::is_same_v<M, std::string>) {
+        json::write_string_into(out, m);
+    } else if constexpr (std::is_enum_v<M>) {
+        json::write_string_into(out,
+                                check.names[static_cast<std::size_t>(m)]);
+    } else {
+        emit_key(m, out);
     }
 }
 
-void parse_chiplet_base_fast(fast_reader& r, chiplet_request& out) {
-    out.logic_area_mm2 = r.number("logic_area_mm2", out.logic_area_mm2);
-    out.memory_area_mm2 = r.number("memory_area_mm2", out.memory_area_mm2);
-    out.io_area_mm2 = r.number("io_area_mm2", out.io_area_mm2);
-    out.d2d_area_mm2 = r.number("d2d_area_mm2", out.d2d_area_mm2);
-    out.lambda_um = r.number("lambda_um", out.lambda_um);
-    out.c0_usd = r.number("c0_usd", out.c0_usd);
-    out.x = r.number("x", out.x);
-    out.generation_step_um =
-        r.number("generation_step_um", out.generation_step_um);
-    out.wafer_radius_cm = r.number("wafer_radius_cm", out.wafer_radius_cm);
-    out.edge_exclusion_cm =
-        r.number("edge_exclusion_cm", out.edge_exclusion_cm);
-    out.defects_per_cm2 = r.number("defects_per_cm2", out.defects_per_cm2);
-    out.memory_defect_factor =
-        r.number("memory_defect_factor", out.memory_defect_factor);
-    out.io_defect_factor = r.number("io_defect_factor", out.io_defect_factor);
-    out.clustering_alpha = r.number("clustering_alpha", out.clustering_alpha);
-    out.test_coverage = r.number("test_coverage", out.test_coverage);
-    out.tester_rate_per_hour =
-        r.number("tester_rate_per_hour", out.tester_rate_per_hour);
-    out.test_seconds_fixed =
-        r.number("test_seconds_fixed", out.test_seconds_fixed);
-    out.test_seconds_per_cm2 =
-        r.number("test_seconds_per_cm2", out.test_seconds_per_cm2);
-    r.text_into("substrate", out.substrate);
-    validate_substrate_fast(out.substrate);
-    out.substrate_cost_per_cm2 =
-        r.number("substrate_cost_per_cm2", out.substrate_cost_per_cm2);
-    out.rdl_cost_per_cm2 = r.number("rdl_cost_per_cm2", out.rdl_cost_per_cm2);
-    out.rdl_defects_per_cm2 =
-        r.number("rdl_defects_per_cm2", out.rdl_defects_per_cm2);
-    out.interposer_cost_per_cm2 =
-        r.number("interposer_cost_per_cm2", out.interposer_cost_per_cm2);
-    out.interposer_defects_per_cm2 =
-        r.number("interposer_defects_per_cm2", out.interposer_defects_per_cm2);
-    out.package_area_factor =
-        r.number("package_area_factor", out.package_area_factor);
-    out.bond_yield = r.number("bond_yield", out.bond_yield);
-    out.bonding_cost_per_chiplet =
-        r.number("bonding_cost_per_chiplet", out.bonding_cost_per_chiplet);
-}
-
-void parse_chiplet_fast(fast_reader& r, request& req) {
-    chiplet_request& out = ensure_payload<chiplet_request>(req);
-    out.chiplets = r.integer("chiplets", out.chiplets);
-    if (!chiplets_in_range(out.chiplets)) {
-        throw request_error("bad_param",
-                            "chiplet: chiplets must be in [1, 16]");
-    }
-    parse_chiplet_base_fast(r, out);
-}
-
-void parse_partition_explore_fast(fast_reader& r, request& req) {
-    partition_explore_request& out =
-        ensure_payload<partition_explore_request>(req);
-    parse_chiplet_base_fast(r, out.base);
-    r.text_into("splits", out.splits);
-    validate_splits_fast(out.splits);
-    out.area_from_mm2 = r.number("area_from_mm2", out.area_from_mm2);
-    out.area_to_mm2 = r.number("area_to_mm2", out.area_to_mm2);
-    if (!std::isfinite(out.area_from_mm2) || !(out.area_from_mm2 > 0.0) ||
-        !std::isfinite(out.area_to_mm2) || !(out.area_to_mm2 > 0.0)) {
-        throw request_error("bad_param",
-                            "partition_explore: area_from_mm2/area_to_mm2 "
-                            "must be finite and positive");
-    }
-    out.count = r.integer("count", out.count);
-    if (out.count < 1 || out.count > 65536) {
-        throw request_error("bad_param",
-                            "partition_explore: count must be in [1, 65536]");
-    }
-    r.text_into("scale", out.scale);
-    if (out.scale != "linear" && out.scale != "log") {
-        throw request_error(
-            "bad_param", "partition_explore: scale must be 'linear' or 'log'");
+template <class S, std::size_t K>
+void emit_member(const S& s, std::string& out) {
+    constexpr auto& plan = key_plan_of<S>;
+    out.append(plan.text.data() + plan.at[K], plan.at[K + 1] - plan.at[K]);
+    constexpr std::size_t i = plan.row[K];
+    if constexpr (i < std::tuple_size_v<decltype(schema<S>::rows)>) {
+        const auto& row = std::get<i>(schema<S>::rows);
+        emit_value(row.of(s), row.check, out);
     }
 }
 
-// ---------------------------------------------------------------------------
-// Canonical-key emitters (sorted member order baked in)
-// ---------------------------------------------------------------------------
-
-// The orders below are the bytewise-sorted key orders json::canonical
-// produces for request_to_json output; tests/serve/test_request.cpp
-// compares the emitted keys against json::canonical(request_to_json(r)).
-
-void emit_number(double d, std::string& out) {
-    json::format_number_into(d, out);
-}
-
-void emit_yield_spec_key(const yield_spec_params& y, std::string& out) {
-    out += "{\"a0_cm2\":";
-    emit_number(y.a0_cm2, out);
-    out += ",\"d\":";
-    emit_number(y.d, out);
-    out += ",\"fixed\":";
-    emit_number(y.fixed, out);
-    out += ",\"model\":";
-    switch (y.model) {
-        case yield_spec_params::kind::reference: out += "\"reference\""; break;
-        case yield_spec_params::kind::scaled: out += "\"scaled\""; break;
-        case yield_spec_params::kind::fixed: out += "\"fixed\""; break;
-    }
-    out += ",\"p\":";
-    emit_number(y.p, out);
-    out += ",\"y0\":";
-    emit_number(y.y0, out);
-    out += '}';
-}
-
-void emit_cost_tr_key(const cost_tr_request& q, std::string& out) {
-    out += "{\"economics\":{\"overhead_usd\":";
-    emit_number(q.economics.overhead_usd, out);
-    out += ",\"volume_wafers\":";
-    emit_number(q.economics.volume_wafers, out);
-    out += "},\"op\":\"cost_tr\",\"process\":{\"c0_usd\":";
-    emit_number(q.process.c0_usd, out);
-    out += ",\"edge_exclusion_cm\":";
-    emit_number(q.process.edge_exclusion_cm, out);
-    out += ",\"generation_step_um\":";
-    emit_number(q.process.generation_step_um, out);
-    out += ",\"gross_die_method\":";
-    json::write_string_into(out, q.process.gross_die_method);
-    out += ",\"wafer_radius_cm\":";
-    emit_number(q.process.wafer_radius_cm, out);
-    out += ",\"x\":";
-    emit_number(q.process.x, out);
-    out += ",\"yield\":";
-    emit_yield_spec_key(q.process.yield, out);
-    out += "},\"product\":{\"design_density\":";
-    emit_number(q.product.design_density, out);
-    out += ",\"die_aspect_ratio\":";
-    emit_number(q.product.die_aspect_ratio, out);
-    out += ",\"feature_size_um\":";
-    emit_number(q.product.feature_size_um, out);
-    out += ",\"name\":";
-    json::write_string_into(out, q.product.name);
-    out += ",\"transistors\":";
-    emit_number(q.product.transistors, out);
-    out += "}}";
-}
-
-void emit_gross_die_key(const gross_die_request& q, std::string& out) {
-    out += "{\"die_height_mm\":";
-    emit_number(q.die_height_mm, out);
-    out += ",\"die_width_mm\":";
-    emit_number(q.die_width_mm, out);
-    out += ",\"edge_exclusion_cm\":";
-    emit_number(q.edge_exclusion_cm, out);
-    out += ",\"method\":";
-    json::write_string_into(out, q.method);
-    out += ",\"op\":\"gross_die\",\"scribe_mm\":";
-    emit_number(q.scribe_mm, out);
-    out += ",\"wafer_radius_cm\":";
-    emit_number(q.wafer_radius_cm, out);
-    out += '}';
-}
-
-void emit_yield_key(const yield_request& q, std::string& out) {
-    out += "{\"a0_cm2\":";
-    emit_number(q.a0_cm2, out);
-    out += ",\"alpha\":";
-    emit_number(q.alpha, out);
-    out += ",\"critical_steps\":";
-    emit_number(static_cast<double>(q.critical_steps), out);
-    out += ",\"d\":";
-    emit_number(q.d, out);
-    out += ",\"defects_per_cm2\":";
-    emit_number(q.defects_per_cm2, out);
-    out += ",\"die_area_cm2\":";
-    emit_number(q.die_area_cm2, out);
-    out += ",\"expected_faults\":";
-    emit_number(q.expected_faults, out);
-    out += ",\"lambda_um\":";
-    emit_number(q.lambda_um, out);
-    out += ",\"model\":";
-    json::write_string_into(out, q.model);
-    out += ",\"op\":\"yield\",\"p\":";
-    emit_number(q.p, out);
-    out += ",\"y0\":";
-    emit_number(q.y0, out);
-    out += '}';
-}
-
-void emit_scenario1_key(const scenario1_request& q, std::string& out) {
-    out += "{\"c0_usd\":";
-    emit_number(q.c0_usd, out);
-    out += ",\"design_density\":";
-    emit_number(q.design_density, out);
-    out += ",\"lambda_um\":";
-    emit_number(q.lambda_um, out);
-    out += ",\"op\":\"scenario1\",\"wafer_radius_cm\":";
-    emit_number(q.wafer_radius_cm, out);
-    out += ",\"x\":";
-    emit_number(q.x, out);
-    out += '}';
-}
-
-void emit_scenario2_key(const scenario2_request& q, std::string& out) {
-    out += "{\"c0_usd\":";
-    emit_number(q.c0_usd, out);
-    out += ",\"design_density\":";
-    emit_number(q.design_density, out);
-    out += ",\"lambda_um\":";
-    emit_number(q.lambda_um, out);
-    out += ",\"op\":\"scenario2\",\"wafer_radius_cm\":";
-    emit_number(q.wafer_radius_cm, out);
-    out += ",\"x\":";
-    emit_number(q.x, out);
-    out += ",\"y0\":";
-    emit_number(q.y0, out);
-    out += '}';
-}
-
-void emit_table3_key(const table3_request& q, std::string& out) {
-    out += "{\"op\":\"table3\",\"row\":";
-    emit_number(static_cast<double>(q.row), out);
-    out += '}';
-}
-
-void emit_mc_yield_key(const mc_yield_request& q, std::string& out) {
-    out += "{\"defect_p\":";
-    emit_number(q.defect_p, out);
-    out += ",\"defect_q\":";
-    emit_number(q.defect_q, out);
-    out += ",\"defect_r0_um\":";
-    emit_number(q.defect_r0_um, out);
-    out += ",\"defects_per_um2\":";
-    emit_number(q.defects_per_um2, out);
-    out += ",\"dies\":";
-    emit_number(static_cast<double>(q.dies), out);
-    out += ",\"extra_material_fraction\":";
-    emit_number(q.extra_material_fraction, out);
-    out += ",\"line_count\":";
-    emit_number(static_cast<double>(q.line_count), out);
-    out += ",\"line_length_um\":";
-    emit_number(q.line_length_um, out);
-    out += ",\"line_spacing_um\":";
-    emit_number(q.line_spacing_um, out);
-    out += ",\"line_width_um\":";
-    emit_number(q.line_width_um, out);
-    out += ",\"op\":\"mc_yield\",\"seed\":";
-    emit_number(static_cast<double>(q.seed), out);
+template <class S>
+void emit_key(const S& s, std::string& out) {
+    [&]<std::size_t... K>(std::index_sequence<K...>) {
+        (emit_member<S, K>(s, out), ...);
+    }(std::make_index_sequence<key_plan_of<S>.row.size()>{});
     out += '}';
 }
 
 /// `target_key` is the already-canonical target serialization (spliced
 /// verbatim — canonical is idempotent under re-sorting).
-void emit_sweep_key(const sweep_request& q, std::string_view target_key,
+void emit_sweep(const sweep_request& q, std::string_view target_key,
                     std::string& out) {
     out += "{\"count\":";
-    emit_number(static_cast<double>(q.count), out);
+    json::format_number_into(static_cast<double>(q.count), out);
     out += ",\"from\":";
-    emit_number(q.from, out);
+    json::format_number_into(q.from, out);
     out += ",\"op\":\"sweep\",\"param\":";
     json::write_string_into(out, q.param);
     out += ",\"scale\":";
@@ -669,130 +816,85 @@ void emit_sweep_key(const sweep_request& q, std::string_view target_key,
     out += ",\"target\":";
     out += target_key;
     out += ",\"to\":";
-    emit_number(q.to, out);
+    json::format_number_into(q.to, out);
     out += '}';
 }
 
-/// The sorted run of chiplet configuration keys from "bond_yield"
-/// through "clustering_alpha"; both chiplet-family emitters start with
-/// it (partition_explore's "area_*" / "count" keys interleave around
-/// it and are emitted by the caller).
-void emit_chiplet_run_bond_to_c0(const chiplet_request& q, std::string& out) {
-    out += "\"bond_yield\":";
-    emit_number(q.bond_yield, out);
-    out += ",\"bonding_cost_per_chiplet\":";
-    emit_number(q.bonding_cost_per_chiplet, out);
-    out += ",\"c0_usd\":";
-    emit_number(q.c0_usd, out);
+// ---------------------------------------------------------------------------
+// Walker 3: dotted sweep-parameter paths
+// ---------------------------------------------------------------------------
+
+/// Calls `f(row, member)` for the leaf field of `s` at dotted `path` and
+/// returns its result; false when no leaf field is there.
+template <class S, class F>
+bool at_path(S& s, std::string_view path, const F& f) {
+    const std::size_t dot = path.find('.');
+    const std::string_view head = path.substr(0, dot);
+    bool result = false;
+    for_each_row<std::remove_const_t<S>>([&](const auto& row) {
+        if (row.name != head) {
+            return;
+        }
+        auto& m = row.of(s);
+        if constexpr (is_block<std::remove_cvref_t<decltype(m)>>) {
+            result = dot != std::string_view::npos &&
+                     at_path(m, path.substr(dot + 1), f);
+        } else {
+            result = dot == std::string_view::npos && f(row, m);
+        }
+    });
+    return result;
 }
 
-/// Sorted keys "d2d_area_mm2" .. "memory_defect_factor" — identical in
-/// both chiplet-family canonical forms.
-void emit_chiplet_run_d2d_to_memory(const chiplet_request& q,
-                                    std::string& out) {
-    out += ",\"d2d_area_mm2\":";
-    emit_number(q.d2d_area_mm2, out);
-    out += ",\"defects_per_cm2\":";
-    emit_number(q.defects_per_cm2, out);
-    out += ",\"edge_exclusion_cm\":";
-    emit_number(q.edge_exclusion_cm, out);
-    out += ",\"generation_step_um\":";
-    emit_number(q.generation_step_um, out);
-    out += ",\"interposer_cost_per_cm2\":";
-    emit_number(q.interposer_cost_per_cm2, out);
-    out += ",\"interposer_defects_per_cm2\":";
-    emit_number(q.interposer_defects_per_cm2, out);
-    out += ",\"io_area_mm2\":";
-    emit_number(q.io_area_mm2, out);
-    out += ",\"io_defect_factor\":";
-    emit_number(q.io_defect_factor, out);
-    out += ",\"lambda_um\":";
-    emit_number(q.lambda_um, out);
-    out += ",\"logic_area_mm2\":";
-    emit_number(q.logic_area_mm2, out);
-    out += ",\"memory_area_mm2\":";
-    emit_number(q.memory_area_mm2, out);
-    out += ",\"memory_defect_factor\":";
-    emit_number(q.memory_defect_factor, out);
+template <class R, class F>
+bool payload_at_path(R& r, std::string_view path, const F& f) {
+    return std::visit(
+        [&](auto& q) {
+            using T = std::remove_cvref_t<decltype(q)>;
+            if constexpr (std::is_same_v<T, sweep_request>) {
+                return false;
+            } else {
+                return at_path(q, path, f);
+            }
+        },
+        r.payload);
 }
 
-/// Sorted keys "package_area_factor" .. "rdl_defects_per_cm2" (the run
-/// right after "op" in both chiplet-family canonical forms).
-void emit_chiplet_run_package_to_rdl(const chiplet_request& q,
-                                     std::string& out) {
-    out += ",\"package_area_factor\":";
-    emit_number(q.package_area_factor, out);
-    out += ",\"rdl_cost_per_cm2\":";
-    emit_number(q.rdl_cost_per_cm2, out);
-    out += ",\"rdl_defects_per_cm2\":";
-    emit_number(q.rdl_defects_per_cm2, out);
+// ---------------------------------------------------------------------------
+// Walker 4: request_to_json
+// ---------------------------------------------------------------------------
+
+template <class S>
+void fields_to_json(const S& s, json::object& o);
+
+template <class M, class Check>
+json::value json_of(const M& m, const Check& check) {
+    if constexpr (std::is_same_v<M, std::uint64_t>) {
+        return json::value{static_cast<double>(m)};
+    } else if constexpr (is_number<M> || std::is_same_v<M, std::string>) {
+        return json::value{m};
+    } else if constexpr (std::is_enum_v<M>) {
+        return json::value{
+            std::string{check.names[static_cast<std::size_t>(m)]}};
+    } else {
+        json::object o;
+        fields_to_json(m, o);
+        return json::value{std::move(o)};
+    }
 }
 
-/// Sorted keys "substrate" .. "x" — the shared tail of both
-/// chiplet-family canonical forms (partition_explore's "scale" and
-/// "splits" sort immediately before "substrate" and are emitted by the
-/// caller).
-void emit_chiplet_run_substrate_to_x(const chiplet_request& q,
-                                     std::string& out) {
-    out += ",\"substrate\":";
-    json::write_string_into(out, q.substrate);
-    out += ",\"substrate_cost_per_cm2\":";
-    emit_number(q.substrate_cost_per_cm2, out);
-    out += ",\"test_coverage\":";
-    emit_number(q.test_coverage, out);
-    out += ",\"test_seconds_fixed\":";
-    emit_number(q.test_seconds_fixed, out);
-    out += ",\"test_seconds_per_cm2\":";
-    emit_number(q.test_seconds_per_cm2, out);
-    out += ",\"tester_rate_per_hour\":";
-    emit_number(q.tester_rate_per_hour, out);
-    out += ",\"wafer_radius_cm\":";
-    emit_number(q.wafer_radius_cm, out);
-    out += ",\"x\":";
-    emit_number(q.x, out);
-    out += '}';
-}
-
-void emit_chiplet_key(const chiplet_request& q, std::string& out) {
-    out += '{';
-    emit_chiplet_run_bond_to_c0(q, out);
-    out += ",\"chiplets\":";
-    emit_number(static_cast<double>(q.chiplets), out);
-    out += ",\"clustering_alpha\":";
-    emit_number(q.clustering_alpha, out);
-    emit_chiplet_run_d2d_to_memory(q, out);
-    out += ",\"op\":\"chiplet\"";
-    emit_chiplet_run_package_to_rdl(q, out);
-    emit_chiplet_run_substrate_to_x(q, out);
-}
-
-void emit_partition_explore_key(const partition_explore_request& q,
-                                std::string& out) {
-    out += "{\"area_from_mm2\":";
-    emit_number(q.area_from_mm2, out);
-    out += ",\"area_to_mm2\":";
-    emit_number(q.area_to_mm2, out);
-    out += ',';
-    emit_chiplet_run_bond_to_c0(q.base, out);
-    out += ",\"clustering_alpha\":";
-    emit_number(q.base.clustering_alpha, out);
-    out += ",\"count\":";
-    emit_number(static_cast<double>(q.count), out);
-    emit_chiplet_run_d2d_to_memory(q.base, out);
-    out += ",\"op\":\"partition_explore\"";
-    emit_chiplet_run_package_to_rdl(q.base, out);
-    out += ",\"scale\":";
-    json::write_string_into(out, q.scale);
-    out += ",\"splits\":";
-    json::write_string_into(out, q.splits);
-    emit_chiplet_run_substrate_to_x(q.base, out);
+template <class S>
+void fields_to_json(const S& s, json::object& o) {
+    for_each_row<S>([&](const auto& row) {
+        o.set(std::string{row.name}, json_of(row.of(s), row.check));
+    });
 }
 
 // ---------------------------------------------------------------------------
 // Top-level parse
 // ---------------------------------------------------------------------------
 
-void parse_sweep_fast(fast_reader& r, request& req, fast_parse_state& st);
+void read_sweep(fast_reader& r, request& req, fast_parse_state& st);
 
 /// Parses a request document into `out` and appends its canonical key
 /// into `key_out` (cleared first).  `top` is the caller's state at the
@@ -846,46 +948,34 @@ void parse_request_fast_inner(const aview& doc, request& out,
         }
     }
 
-    // A sweep nested as a sweep target is always rejected by the outer
-    // sweep, but its own errors surface first; that rare shape parses
-    // through scratch of its own.
-    std::unique_ptr<fast_parse_state> nested;
-    fast_parse_state* sweep_state = top;
-    switch (*op) {
-        case op_code::cost_tr: parse_cost_tr_fast(r, out); break;
-        case op_code::gross_die: parse_gross_die_fast(r, out); break;
-        case op_code::yield: parse_yield_fast(r, out); break;
-        case op_code::scenario1: parse_scenario1_fast(r, out); break;
-        case op_code::scenario2: parse_scenario2_fast(r, out); break;
-        case op_code::table3: parse_table3_fast(r, out); break;
-        case op_code::mc_yield: parse_mc_yield_fast(r, out); break;
-        case op_code::sweep:
-            if (sweep_state == nullptr) {
-                nested = std::make_unique<fast_parse_state>();
-                sweep_state = nested.get();
-            }
-            parse_sweep_fast(r, out, *sweep_state);
-            break;
-        case op_code::stats:
-            ensure_payload<stats_request>(out);
-            break;
-        case op_code::chiplet: parse_chiplet_fast(r, out); break;
-        case op_code::partition_explore:
-            parse_partition_explore_fast(r, out);
-            break;
-    }
-    r.forbid_unknown();
-
     key_out.clear();
     if (*op == op_code::sweep) {
-        emit_sweep_key(std::get<sweep_request>(out.payload),
-                       sweep_state->target_key, key_out);
-    } else {
-        canonical_key_into(out, key_out);
+        // A sweep nested as a sweep target is always rejected by the
+        // outer sweep, but its own errors surface first; that rare shape
+        // parses through scratch of its own.
+        std::unique_ptr<fast_parse_state> nested;
+        fast_parse_state* st = top;
+        if (st == nullptr) {
+            nested = std::make_unique<fast_parse_state>();
+            st = nested.get();
+        }
+        read_sweep(r, out, *st);
+        r.forbid_unknown();
+        emit_sweep(std::get<sweep_request>(out.payload), st->target_key,
+                       key_out);
+        return;
     }
+    with_payload_type(*op, [&]<class T>(std::type_identity<T>) {
+        if constexpr (!std::is_same_v<T, sweep_request>) {
+            T& payload = ensure_payload<T>(out);
+            read_block(r, payload);
+            r.forbid_unknown();
+            emit_key(payload, key_out);
+        }
+    });
 }
 
-void parse_sweep_fast(fast_reader& r, request& req, fast_parse_state& st) {
+void read_sweep(fast_reader& r, request& req, fast_parse_state& st) {
     sweep_request& out = ensure_payload<sweep_request>(req);
 
     const aview* target = r.raw("target");
@@ -951,8 +1041,8 @@ void parse_sweep_fast(fast_reader& r, request& req, fast_parse_state& st) {
         throw request_error("bad_param",
                             "sweep: count must be in [1, 65536]");
     }
-    r.text_into("scale", out.scale);
-    if (out.scale != "linear" && out.scale != "log") {
+    out.scale.assign(r.text("scale", out.scale));
+    if (!linear_or_log(out.scale)) {
         throw request_error("bad_param",
                             "sweep: scale must be 'linear' or 'log'");
     }
@@ -986,8 +1076,6 @@ request parse_request(const json::value& doc) {
     parse_request_fast(parser.parse(text, arena), st);
     if (st.req.op == op_code::sweep) {
         bind_sweep_target(st);
-        auto& q = std::get<sweep_request>(st.req.payload);
-        q.target_params = request_to_json(*q.target).as_object();
     }
     request out = std::move(st.req);
     if (out.has_id) {
@@ -1000,263 +1088,83 @@ request parse_request(const json::value& doc) {
 }
 
 void canonical_key_into(const request& r, std::string& out) {
-    switch (r.op) {
-        case op_code::cost_tr:
-            emit_cost_tr_key(std::get<cost_tr_request>(r.payload), out);
-            break;
-        case op_code::gross_die:
-            emit_gross_die_key(std::get<gross_die_request>(r.payload), out);
-            break;
-        case op_code::yield:
-            emit_yield_key(std::get<yield_request>(r.payload), out);
-            break;
-        case op_code::scenario1:
-            emit_scenario1_key(std::get<scenario1_request>(r.payload), out);
-            break;
-        case op_code::scenario2:
-            emit_scenario2_key(std::get<scenario2_request>(r.payload), out);
-            break;
-        case op_code::table3:
-            emit_table3_key(std::get<table3_request>(r.payload), out);
-            break;
-        case op_code::mc_yield:
-            emit_mc_yield_key(std::get<mc_yield_request>(r.payload), out);
-            break;
-        case op_code::sweep: {
-            // Bound sweeps only (target_params populated); the parser
-            // splices the target key it already emitted.
-            const auto& q = std::get<sweep_request>(r.payload);
-            std::string target_key;
-            json::canonical_into(json::value{q.target_params}, target_key);
-            emit_sweep_key(q, target_key, out);
-            break;
-        }
-        case op_code::stats:
-            out += "{\"op\":\"stats\"}";
-            break;
-        case op_code::chiplet:
-            emit_chiplet_key(std::get<chiplet_request>(r.payload), out);
-            break;
-        case op_code::partition_explore:
-            emit_partition_explore_key(
-                std::get<partition_explore_request>(r.payload), out);
-            break;
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Numeric parameter tables (the numeric members of request_to_json)
-// ---------------------------------------------------------------------------
-
-namespace {
-
-double* cost_tr_param(cost_tr_request& q, std::string_view p) {
-    if (p == "process.c0_usd") return &q.process.c0_usd;
-    if (p == "process.x") return &q.process.x;
-    if (p == "process.generation_step_um") return &q.process.generation_step_um;
-    if (p == "process.wafer_radius_cm") return &q.process.wafer_radius_cm;
-    if (p == "process.edge_exclusion_cm") return &q.process.edge_exclusion_cm;
-    if (p == "process.yield.y0") return &q.process.yield.y0;
-    if (p == "process.yield.a0_cm2") return &q.process.yield.a0_cm2;
-    if (p == "process.yield.d") return &q.process.yield.d;
-    if (p == "process.yield.p") return &q.process.yield.p;
-    if (p == "process.yield.fixed") return &q.process.yield.fixed;
-    if (p == "product.transistors") return &q.product.transistors;
-    if (p == "product.design_density") return &q.product.design_density;
-    if (p == "product.feature_size_um") return &q.product.feature_size_um;
-    if (p == "product.die_aspect_ratio") return &q.product.die_aspect_ratio;
-    if (p == "economics.overhead_usd") return &q.economics.overhead_usd;
-    if (p == "economics.volume_wafers") return &q.economics.volume_wafers;
-    return nullptr;
-}
-
-double* gross_die_param(gross_die_request& q, std::string_view p) {
-    if (p == "wafer_radius_cm") return &q.wafer_radius_cm;
-    if (p == "edge_exclusion_cm") return &q.edge_exclusion_cm;
-    if (p == "die_width_mm") return &q.die_width_mm;
-    if (p == "die_height_mm") return &q.die_height_mm;
-    if (p == "scribe_mm") return &q.scribe_mm;
-    return nullptr;
-}
-
-double* yield_param(yield_request& q, std::string_view p) {
-    if (p == "expected_faults") return &q.expected_faults;
-    if (p == "die_area_cm2") return &q.die_area_cm2;
-    if (p == "defects_per_cm2") return &q.defects_per_cm2;
-    if (p == "alpha") return &q.alpha;
-    if (p == "d") return &q.d;
-    if (p == "p") return &q.p;
-    if (p == "lambda_um") return &q.lambda_um;
-    if (p == "y0") return &q.y0;
-    if (p == "a0_cm2") return &q.a0_cm2;
-    return nullptr;
-}
-
-double* scenario1_param(scenario1_request& q, std::string_view p) {
-    if (p == "lambda_um") return &q.lambda_um;
-    if (p == "c0_usd") return &q.c0_usd;
-    if (p == "x") return &q.x;
-    if (p == "wafer_radius_cm") return &q.wafer_radius_cm;
-    if (p == "design_density") return &q.design_density;
-    return nullptr;
-}
-
-double* scenario2_param(scenario2_request& q, std::string_view p) {
-    if (p == "lambda_um") return &q.lambda_um;
-    if (p == "c0_usd") return &q.c0_usd;
-    if (p == "x") return &q.x;
-    if (p == "wafer_radius_cm") return &q.wafer_radius_cm;
-    if (p == "design_density") return &q.design_density;
-    if (p == "y0") return &q.y0;
-    return nullptr;
-}
-
-double* chiplet_param(chiplet_request& q, std::string_view p) {
-    if (p == "logic_area_mm2") return &q.logic_area_mm2;
-    if (p == "memory_area_mm2") return &q.memory_area_mm2;
-    if (p == "io_area_mm2") return &q.io_area_mm2;
-    if (p == "d2d_area_mm2") return &q.d2d_area_mm2;
-    if (p == "lambda_um") return &q.lambda_um;
-    if (p == "c0_usd") return &q.c0_usd;
-    if (p == "x") return &q.x;
-    if (p == "generation_step_um") return &q.generation_step_um;
-    if (p == "wafer_radius_cm") return &q.wafer_radius_cm;
-    if (p == "edge_exclusion_cm") return &q.edge_exclusion_cm;
-    if (p == "defects_per_cm2") return &q.defects_per_cm2;
-    if (p == "memory_defect_factor") return &q.memory_defect_factor;
-    if (p == "io_defect_factor") return &q.io_defect_factor;
-    if (p == "clustering_alpha") return &q.clustering_alpha;
-    if (p == "test_coverage") return &q.test_coverage;
-    if (p == "tester_rate_per_hour") return &q.tester_rate_per_hour;
-    if (p == "test_seconds_fixed") return &q.test_seconds_fixed;
-    if (p == "test_seconds_per_cm2") return &q.test_seconds_per_cm2;
-    if (p == "substrate_cost_per_cm2") return &q.substrate_cost_per_cm2;
-    if (p == "rdl_cost_per_cm2") return &q.rdl_cost_per_cm2;
-    if (p == "rdl_defects_per_cm2") return &q.rdl_defects_per_cm2;
-    if (p == "interposer_cost_per_cm2") return &q.interposer_cost_per_cm2;
-    if (p == "interposer_defects_per_cm2") {
-        return &q.interposer_defects_per_cm2;
-    }
-    if (p == "package_area_factor") return &q.package_area_factor;
-    if (p == "bond_yield") return &q.bond_yield;
-    if (p == "bonding_cost_per_chiplet") return &q.bonding_cost_per_chiplet;
-    return nullptr;
-}
-
-double* mc_yield_param(mc_yield_request& q, std::string_view p) {
-    if (p == "line_width_um") return &q.line_width_um;
-    if (p == "line_spacing_um") return &q.line_spacing_um;
-    if (p == "line_length_um") return &q.line_length_um;
-    if (p == "defect_r0_um") return &q.defect_r0_um;
-    if (p == "defect_p") return &q.defect_p;
-    if (p == "defect_q") return &q.defect_q;
-    if (p == "defects_per_um2") return &q.defects_per_um2;
-    if (p == "extra_material_fraction") return &q.extra_material_fraction;
-    return nullptr;
-}
-
-/// Numeric members serialized from integer storage: addressable by a
-/// sweep per the canonical-JSON walk, but not double-pokeable.
-bool integer_param_exists(const request& r, std::string_view p) {
-    switch (r.op) {
-        case op_code::yield:
-            return p == "critical_steps";
-        case op_code::mc_yield:
-            return p == "line_count" || p == "dies" || p == "seed";
-        case op_code::table3:
-            return p == "row";
-        case op_code::chiplet:
-            return p == "chiplets";
-        default:
-            return false;
-    }
-}
-
-}  // namespace
-
-double* numeric_param_ptr(request& r, std::string_view path) {
-    switch (r.op) {
-        case op_code::cost_tr:
-            return cost_tr_param(std::get<cost_tr_request>(r.payload), path);
-        case op_code::gross_die:
-            return gross_die_param(std::get<gross_die_request>(r.payload),
-                                   path);
-        case op_code::yield:
-            return yield_param(std::get<yield_request>(r.payload), path);
-        case op_code::scenario1:
-            return scenario1_param(std::get<scenario1_request>(r.payload),
-                                   path);
-        case op_code::scenario2:
-            return scenario2_param(std::get<scenario2_request>(r.payload),
-                                   path);
-        case op_code::mc_yield:
-            return mc_yield_param(std::get<mc_yield_request>(r.payload),
-                                  path);
-        case op_code::chiplet:
-            return chiplet_param(std::get<chiplet_request>(r.payload), path);
-        case op_code::table3:
-        case op_code::sweep:
-        case op_code::stats:
-        case op_code::partition_explore:
-            return nullptr;
-    }
-    return nullptr;
-}
-
-double set_numeric_param(request& r, std::string_view path, double x) {
-    constexpr double rejected = std::numeric_limits<double>::quiet_NaN();
-    if (!std::isfinite(x)) {
-        return rejected;  // JSON cannot carry it: no such point request
-    }
-    if (double* slot = numeric_param_ptr(r, path)) {
-        *slot = x;
-        return x;
-    }
-    switch (r.op) {
-        case op_code::yield:
-            if (path == "critical_steps" && is_int32(x)) {
-                auto& q = std::get<yield_request>(r.payload);
-                q.critical_steps = static_cast<int>(x);
-                return q.critical_steps;
+    std::visit(
+        [&out](const auto& q) {
+            using T = std::decay_t<decltype(q)>;
+            if constexpr (std::is_same_v<T, sweep_request>) {
+                std::string target_key;
+                canonical_key_into(*q.target, target_key);
+                emit_sweep(q, target_key, out);
+            } else {
+                emit_key(q, out);
             }
-            break;
-        case op_code::mc_yield: {
-            auto& q = std::get<mc_yield_request>(r.payload);
-            if (path == "line_count" && is_int32(x)) {
-                q.line_count = static_cast<int>(x);
-                return q.line_count;
+        },
+        r.payload);
+}
+
+json::value request_to_json(const request& r) {
+    json::object o;
+    o.set("op", std::string{to_string(r.op)});
+    std::visit(
+        [&o](const auto& q) {
+            using T = std::decay_t<decltype(q)>;
+            if constexpr (std::is_same_v<T, sweep_request>) {
+                o.set("target", request_to_json(*q.target));
+                o.set("param", q.param);
+                o.set("from", q.from);
+                o.set("to", q.to);
+                o.set("count", q.count);
+                o.set("scale", q.scale);
+            } else {
+                fields_to_json(q, o);
             }
-            if (path == "dies" && is_int32(x) &&
-                dies_in_range(static_cast<int>(x))) {
-                q.dies = static_cast<int>(x);
-                return q.dies;
-            }
-            if (path == "seed" && is_uint53(x)) {
-                q.seed = static_cast<std::uint64_t>(x);
-                return static_cast<double>(q.seed);
-            }
-            break;
-        }
-        case op_code::chiplet:
-            if (path == "chiplets" && is_int32(x) &&
-                chiplets_in_range(static_cast<int>(x))) {
-                auto& q = std::get<chiplet_request>(r.payload);
-                q.chiplets = static_cast<int>(x);
-                return q.chiplets;
-            }
-            break;
-        default:
-            break;
-    }
-    return rejected;
+        },
+        r.payload);
+    return json::value{std::move(o)};
 }
 
 bool numeric_param_exists(const request& r, std::string_view path) {
-    if (integer_param_exists(r, path)) {
-        return true;
+    return payload_at_path(r, path, [](const auto&, const auto& m) {
+        return is_number<std::remove_cvref_t<decltype(m)>>;
+    });
+}
+
+double* numeric_param_ptr(request& r, std::string_view path) {
+    double* slot = nullptr;
+    (void)payload_at_path(r, path, [&slot](const auto&, auto& m) {
+        if constexpr (std::is_same_v<std::remove_cvref_t<decltype(m)>,
+                                     double>) {
+            slot = &m;
+        }
+        return slot != nullptr;
+    });
+    return slot;
+}
+
+double set_numeric_param(request& r, std::string_view path, double x) {
+    double value = std::numeric_limits<double>::quiet_NaN();
+    if (!std::isfinite(x)) {
+        return value;  // JSON cannot carry it: no such point request
     }
-    // The pointer table never writes through a const request.
-    return numeric_param_ptr(const_cast<request&>(r), path) != nullptr;
+    (void)payload_at_path(r, path, [&](const auto& row, auto& m) {
+        using M = std::remove_cvref_t<decltype(m)>;
+        if constexpr (std::is_same_v<M, double>) {
+            m = x;
+            value = x;
+        } else if constexpr (std::is_same_v<M, int>) {
+            if (is_int32(x) && accepts(row.check, static_cast<int>(x))) {
+                m = static_cast<int>(x);
+                value = m;
+            }
+        } else if constexpr (std::is_same_v<M, std::uint64_t>) {
+            if (is_uint53(x)) {
+                m = static_cast<std::uint64_t>(x);
+                value = static_cast<double>(m);
+            }
+        }
+        return true;
+    });
+    return value;
 }
 
 }  // namespace silicon::serve

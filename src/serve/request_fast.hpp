@@ -1,19 +1,27 @@
 // request_fast.hpp — the request parser of the serve protocol.
 //
+// The request schema is declared once, in request_fast.cpp: one constexpr
+// row per field of every parameter block (wire name, member, and the
+// field's check with its exact message).  Four walkers run over those
+// rows — the parser, the canonical-key emitter, the dotted sweep-path
+// lookup and `request_to_json` (request.hpp) — so adding or changing a
+// field is one row.
+//
 // `parse_request_fast` walks an arena-backed `json::aview` document
 // (json_arena.hpp) into a *reused* `request` (string members keep their
 // capacity, the payload variant keeps its alternative when the op
 // repeats) and emits the canonical cache key directly into a reused
-// buffer through hand-ordered sorted-key emitters — no DOM, no sort, no
-// temporaries, so a warm parse allocates nothing.  It is the only
-// schema walker: the engine parses every line through it exactly once,
-// and `parse_request` (request.hpp) is a thin adapter over it for
-// callers that already hold a `json::value`.
+// buffer, with each block's member order and `,"name":` fragments fixed
+// at compile time — no DOM, no sort, no temporaries, so a warm parse
+// allocates nothing.  It is the only schema walker: the engine's serving
+// path parses every line through it, and `parse_request` (request.hpp)
+// is a thin adapter over it for callers that already hold a
+// `json::value`.
 //
-// `numeric_param_exists` / `numeric_param_ptr` / `set_numeric_param` are
-// compile-time member tables over the canonical request form; the
-// engine's sweep evaluation writes each grid point through them into a
-// typed copy of the target request.
+// `numeric_param_exists` / `numeric_param_ptr` / `set_numeric_param`
+// resolve dotted paths through the same rows; the engine's sweep
+// evaluation writes each grid point through them into a typed copy of
+// the target request.
 
 #pragma once
 
@@ -57,7 +65,7 @@ void parse_request_fast(const json::aview& doc, fast_parse_state& st);
 void bind_sweep_target(fast_parse_state& st);
 
 /// Appends the canonical cache key of a fully-parsed request (a sweep
-/// must carry `target_params`).
+/// must carry its bound `target`).
 void canonical_key_into(const request& r, std::string& out);
 
 /// True when dotted `path` addresses a numeric parameter of `r`'s

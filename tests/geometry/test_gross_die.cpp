@@ -153,6 +153,25 @@ TEST_P(GrossDieSweep, EstimatorsAgreeWithinBandForSmallDies) {
 INSTANTIATE_TEST_SUITE_P(SmallDies, GrossDieSweep,
                          ::testing::Values(2.0, 3.0, 4.0, 5.0, 6.0, 8.0));
 
+TEST(GrossDieBounds, LargestPlannedWaferEvaluatesAndHugeOnesThrow) {
+    // A 450 mm wafer with a 1 mm die stays inside the work bounds under
+    // every method; a wafer radius no process has is rejected before
+    // the loops (Eq. (4) rows, exact cell tests).
+    const wafer w450{centimeters{22.5}};
+    const die one_mm = die::square(millimeters{1.0});
+    for (const gross_die_method m :
+         {gross_die_method::maly_rows, gross_die_method::maly_rows_best_orient,
+          gross_die_method::area_ratio, gross_die_method::circumference,
+          gross_die_method::ferris_prabhu, gross_die_method::exact}) {
+        EXPECT_GT(gross_dies(w450, one_mm, m), 150000) << to_string(m);
+    }
+    const die ten_mm = die::square(millimeters{10.0});
+    EXPECT_THROW((void)maly_row_count(wafer{centimeters{1e9}}, ten_mm),
+                 std::domain_error);
+    EXPECT_THROW((void)exact_count(wafer{centimeters{1e5}}, ten_mm),
+                 std::domain_error);
+}
+
 class GrossDieMonotone : public ::testing::TestWithParam<gross_die_method> {};
 
 TEST_P(GrossDieMonotone, CountNonIncreasingInDieEdge) {

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -453,6 +454,42 @@ TEST(Engine, NonFiniteGridLanesAreNullWarmOrCold) {
         (void)engine.handle_line(warm_up);
         EXPECT_NE(engine.handle_line(sweep).find(nulls), std::string::npos)
             << "cache_capacity=" << cache_capacity;
+    }
+}
+
+TEST(Engine, OversizedGrossDieWorkIsRejectedFast) {
+    // Wafer radius / die edge far beyond any real process: the gross-die
+    // loops would run for seconds to hours, so the geometry rejects the
+    // work before looping and the engine answers domain_error.
+    serve::engine engine{config_with(1)};
+    for (const char* line :
+         {R"({"op":"gross_die","wafer_radius_cm":1e9})",
+          R"({"op":"gross_die","wafer_radius_cm":100000,"method":"exact"})",
+          R"({"op":"cost_tr","process":{"wafer_radius_cm":1e9}})"}) {
+        SCOPED_TRACE(line);
+        const auto start = std::chrono::steady_clock::now();
+        const json::value doc = json::parse(engine.handle_line(line));
+        EXPECT_LT(std::chrono::steady_clock::now() - start,
+                  std::chrono::seconds{1});
+        const json::value* error = doc.as_object().find("error");
+        ASSERT_NE(error, nullptr);
+        EXPECT_EQ(error->as_object().find("code")->as_string(),
+                  "domain_error");
+    }
+    // A sweep up to 1e9 cm: lanes past the bound are null, the 450 mm
+    // wafer lane still counts.
+    const json::value sweep = json::parse(engine.handle_line(
+        R"({"op":"sweep","param":"wafer_radius_cm","from":22.5,"to":1e9,)"
+        R"("count":5,"target":{"op":"gross_die"}})"));
+    const json::array& ys = sweep.as_object()
+                                .find("result")
+                                ->as_object()
+                                .find("ys")
+                                ->as_array();
+    ASSERT_EQ(ys.size(), 5u);
+    EXPECT_TRUE(ys[0].is_number());
+    for (std::size_t i = 1; i < ys.size(); ++i) {
+        EXPECT_TRUE(ys[i].is_null()) << i;
     }
 }
 

@@ -1,9 +1,16 @@
 #include "serve/request.hpp"
 
+#include "exec/arena.hpp"
+#include "serve/json_arena.hpp"
+#include "serve/request_fast.hpp"
+
 #include "request_corpus.hpp"
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <fstream>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -60,7 +67,7 @@ TEST(RequestSchema, CanonicalKeyIgnoresMemberOrderAndDefaults) {
 }
 
 TEST(RequestSchema, CanonicalKeyMatchesRequestToJson) {
-    // The parser's hand-ordered key emitters against the generic
+    // The parser's compile-time key order against the generic
     // serialize-then-sort reference, for every line of the shared
     // corpus that parses (sweeps included: their key splices the
     // target's emitted key).
@@ -204,6 +211,161 @@ TEST(RequestSchema, RequestToJsonIsReparseable) {
     EXPECT_EQ(q.dies, 500);
     EXPECT_EQ(q.seed, 7u);
     EXPECT_EQ(q.line_count, 9);
+}
+
+// ---------------------------------------------------------------------------
+// Pinned canonical keys: cache snapshots persist keys, so a warm restart
+// after an upgrade only hits if every key is byte-identical.
+// ---------------------------------------------------------------------------
+
+TEST(RequestSchema, CanonicalKeysMatchGoldenFile) {
+    // Each line of golden_keys.jsonl is {"line": <request text>, and
+    // "key": <canonical key> or "error": "<code>: <message>"}.  Both
+    // entry points (DOM and arena view) must reproduce it byte for byte.
+    std::ifstream in{std::string{SILICON_TEST_DATA_DIR} +
+                     "/golden_keys.jsonl"};
+    ASSERT_TRUE(in.is_open());
+    silicon::exec::arena arena;
+    json::arena_parser parser;
+    serve::fast_parse_state state;
+    std::size_t records = 0;
+    std::string record;
+    while (std::getline(in, record)) {
+        const json::value doc = json::parse(record);
+        const std::string& line = doc.as_object().find("line")->as_string();
+        SCOPED_TRACE(line);
+        ++records;
+        const json::value* want_key = doc.as_object().find("key");
+        const std::string want = want_key != nullptr
+            ? want_key->as_string()
+            : doc.as_object().find("error")->as_string();
+
+        std::string dom;
+        try {
+            dom = parse(line).canonical_key;
+        } catch (const serve::request_error& e) {
+            dom = e.code() + ": " + e.what();
+        }
+        EXPECT_EQ(dom, want);
+
+        std::string fast;
+        try {
+            arena.reset();
+            serve::parse_request_fast(parser.parse(line, arena), state);
+            fast = state.req.canonical_key;
+        } catch (const serve::request_error& e) {
+            fast = e.code() + ": " + e.what();
+        }
+        EXPECT_EQ(fast, want);
+    }
+    EXPECT_GT(records, 500u);
+}
+
+// ---------------------------------------------------------------------------
+// Schema properties over every numeric field of every endpoint, through
+// the public entry points only.
+// ---------------------------------------------------------------------------
+
+/// Dotted paths of every number in a request's canonical form.
+void numeric_paths(const json::object& o, const std::string& prefix,
+                   std::vector<std::string>& out) {
+    for (const auto& [name, v] : o.members()) {
+        const std::string path = prefix.empty() ? name : prefix + "." + name;
+        if (v.is_number()) {
+            out.push_back(path);
+        } else if (v.is_object()) {
+            numeric_paths(v.as_object(), path, out);
+        }
+    }
+}
+
+/// `doc` with the number at dotted `path` replaced by `x`.
+json::value with_number(json::value doc, const std::string& path, double x) {
+    json::value* slot = &doc;
+    std::size_t begin = 0;
+    for (std::size_t dot = 0; dot != std::string::npos; begin = dot + 1) {
+        dot = path.find('.', begin);
+        slot = slot->as_object().find(path.substr(begin, dot - begin));
+    }
+    *slot = json::value{x};
+    return doc;
+}
+
+/// Zero, signed subnormals and extremes, every integer-range edge +-1
+/// (int32, uint53, and the dies/chiplets/row/count ranges), a
+/// non-integral value, and seeded random magnitudes.
+std::vector<double> probe_values() {
+    std::vector<double> xs = {0.0,     -0.0,     5e-324,  -5e-324,
+                              2.2250738585072009e-308,
+                              -2.2250738585072009e-308,
+                              1e300,   -1e300,   1e-300,  -1e-300,
+                              1.7e308, -1.7e308, 2.5,     -2.5};
+    for (const double edge : {0.0, 1.0, 16.0, 17.0, 65536.0, 1e8,
+                              2147483647.0, 9007199254740992.0}) {
+        for (const double d : {-1.0, 0.0, 1.0}) {
+            xs.push_back(edge + d);
+            xs.push_back(-(edge + d));
+        }
+    }
+    std::mt19937_64 rng{0x5eedu};
+    std::uniform_real_distribution<double> uni{-3.0, 3.0};
+    for (int i = 0; i < 24; ++i) {
+        xs.push_back(uni(rng) *
+                     std::pow(10.0, static_cast<double>(rng() % 17) - 8.0));
+    }
+    return xs;
+}
+
+TEST(RequestSchema, CanonicalKeysRoundTripAndSweepLanesMatchPoints) {
+    const std::vector<double> xs = probe_values();
+    std::size_t lanes = 0;
+    for (int i = 0; i < serve::op_count; ++i) {
+        const auto op = static_cast<serve::op_code>(i);
+        if (op == serve::op_code::sweep || op == serve::op_code::stats) {
+            continue;
+        }
+        const std::string op_name{serve::to_string(op)};
+        const serve::request base = parse(R"({"op":")" + op_name + "\"}");
+        const json::value doc = serve::request_to_json(base);
+        std::vector<std::string> paths;
+        numeric_paths(doc.as_object(), "", paths);
+        ASSERT_FALSE(paths.empty()) << op_name;
+        const bool sweepable = serve::primary_metric(op) != nullptr;
+
+        for (const std::string& path : paths) {
+            if (sweepable) {
+                EXPECT_TRUE(serve::numeric_param_exists(base, path))
+                    << op_name << " " << path;
+            }
+            for (const double x : xs) {
+                SCOPED_TRACE(op_name + " " + path + " = " +
+                             json::format_number(x));
+                std::string point_key;
+                try {
+                    point_key =
+                        serve::parse_request(with_number(doc, path, x))
+                            .canonical_key;
+                } catch (const serve::request_error&) {
+                }
+                if (!point_key.empty()) {
+                    EXPECT_EQ(parse(point_key).canonical_key, point_key);
+                }
+                if (!sweepable) {
+                    continue;
+                }
+                serve::request lane = base;
+                const double y = serve::set_numeric_param(lane, path, x);
+                EXPECT_EQ(std::isnan(y), point_key.empty());
+                if (!point_key.empty()) {
+                    std::string lane_key;
+                    serve::canonical_key_into(lane, lane_key);
+                    EXPECT_EQ(lane_key, point_key);
+                    ++lanes;
+                }
+            }
+        }
+    }
+    EXPECT_GT(lanes, 1000u);
 }
 
 }  // namespace
